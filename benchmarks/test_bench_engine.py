@@ -1,18 +1,12 @@
 """Engine speedup benchmarks: fast paths vs the retained reference code.
 
-Two claims, each checked against the naive implementation the engine
+Each claim is checked against the naive implementation the engine
 replaced (and which remains in-tree for differential testing):
 
 * reachability of the paper's FIFO/ring STGs via the interned marking
   encoding is >= 3x faster than the Marking-object BFS;
 * a 10k-cache-line RAPPID workload through the batched runner is >= 3x
   faster than the per-instruction reference loop;
-* ``run_sharded`` is bit-identical to ``run`` at 10k/100k-cache-line
-  scale and never loses to it (multi-CPU hosts must win wall-clock; on
-  single-CPU hosts the pool fallback keeps the ratio >= 0.98); its
-  instructions/sec trajectory -- plus the persistent-pool decision and
-  host cpu_count, so trajectories are comparable across hosts -- is
-  written to ``BENCH_sharded.json``.
 * the opcode simulation kernel behind ``EventDrivenSimulator`` is >= 3x
   the reference simulator on a ring oscillator and on a RAPPID-style
   32-byte-unit netlist; its transitions/sec trajectory is written to
@@ -191,14 +185,14 @@ def test_bench_engine_simulator_kernel_speedup():
     traces are asserted identical before timing, so this doubles as a
     differential check at benchmark scale.
     """
-    from repro.engine.rappid_batch import _worker_count
+    from repro.engine.pool import worker_count
 
     duration = 15_000.0 if QUICK else 150_000.0
     cases = {
         "ring_oscillator": _ring_oscillator_netlist(),
         "rappid_byte_unit": _rappid_byte_unit_netlist(),
     }
-    summary = {"quick": QUICK, "cpu_count": _worker_count(), "cases": {}}
+    summary = {"quick": QUICK, "cpu_count": worker_count(), "cases": {}}
     failures = []
     for label, netlist in cases.items():
         def run(simulator_class):
@@ -242,114 +236,6 @@ def test_bench_engine_simulator_kernel_speedup():
             f"simulation kernel below {REQUIRED_SPEEDUP}x on: "
             + ", ".join(f"{label} ({speedup:.2f}x)" for label, speedup in failures)
         )
-
-
-def test_bench_engine_sharded_exact_and_summary():
-    """run_sharded vs run: bit-identity at scale plus a perf trajectory.
-
-    Emits ``BENCH_sharded.json`` at the repo root (instructions/sec of
-    ``run`` vs ``run_sharded`` at 10k and 100k cache lines) so future PRs
-    can compare against a machine-readable baseline; scripts/check.sh
-    surfaces it.  The wall-clock assertion (sharded beats monolithic on
-    the 100k-line stream) only applies in full mode on multi-CPU hosts --
-    worker processes cannot beat a single loop on one core, and quick
-    mode skips timing assertions entirely (but still checks identity and
-    still writes the summary, marked ``"quick": true``).
-    """
-    from repro.engine import pool as engine_pool
-    from repro.engine.rappid_batch import _worker_count
-
-    # ~4.56 instructions per 16-byte line: 45_600 / 456_000 instructions
-    # span >=10k / >=100k cache lines respectively.
-    stream_sizes = {"1k_lines": 4_600} if QUICK else {
-        "10k_lines": 45_600,
-        "100k_lines": 456_000,
-    }
-    cpus = _worker_count()
-    shards = max(2, min(8, cpus))
-    summary = {
-        "quick": QUICK,
-        "cpu_count": cpus,
-        "shards": shards,
-        "streams": {},
-    }
-    speedup_on_largest = 0.0
-    for label, count in stream_sizes.items():
-        generator = WorkloadGenerator(seed=7)
-        instructions = generator.instructions(count)
-        lines = generator.cache_lines(instructions)
-        decoder = RappidDecoder()
-
-        exact = decoder.run(instructions, lines)
-        # Pin the worker-pool protocol's bit-identity at scale even on
-        # single-CPU hosts (where the timed auto mode below delegates).
-        sharded = decoder.run_sharded(
-            instructions,
-            lines,
-            shards=shards,
-            min_shard_instructions=64,
-            use_processes=True,
-        )
-        assert sharded.issue_times_ps == exact.issue_times_ps
-        assert sharded.instruction_latencies_ps == exact.instruction_latencies_ps
-        assert sharded.tag_intervals_ps == exact.tag_intervals_ps
-        assert sharded.line_intervals_ps == exact.line_intervals_ps
-        assert sharded.steer_intervals_ps == exact.steer_intervals_ps
-        assert sharded.total_time_ps == exact.total_time_ps
-        assert sharded.energy_pj == exact.energy_pj
-        del exact, sharded
-
-        # Auto mode (use_processes=None): the persistent-pool policy picks
-        # the path; on single-CPU hosts it must not cost anything, so the
-        # measurement retries against the no-regression floor.
-        target = 1.0 if cpus > 1 else 0.98
-        speedup = 0.0
-        for _attempt in range(ATTEMPTS):
-            run_time, sharded_time = _interleaved_best(
-                lambda: decoder.run(instructions, lines),
-                lambda: decoder.run_sharded(
-                    instructions, lines, shards=shards, min_shard_instructions=64
-                ),
-                rounds=2 if QUICK else 3,
-            )
-            speedup = run_time / sharded_time
-            if speedup >= target:
-                break
-        decision = dict(engine_pool.LAST_DECISION)
-        summary["streams"][label] = {
-            "instructions": count,
-            "lines": len(lines),
-            "run_ips": round(count / run_time),
-            "sharded_ips": round(count / sharded_time),
-            "sharded_speedup": round(speedup, 3),
-            "pool_decision": {
-                "use_pool": bool(decision.get("use_pool")),
-                "reason": decision.get("reason"),
-            },
-        }
-        speedup_on_largest = speedup
-        print(
-            f"\n[bench-engine] sharded {label}: run {run_time * 1e3:.2f} ms, "
-            f"sharded({shards}) {sharded_time * 1e3:.2f} ms -> {speedup:.2f}x "
-            f"[{decision.get('reason')}]"
-        )
-
-    out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_sharded.json")
-    with open(out_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    if not QUICK:
-        if cpus > 1:
-            assert speedup_on_largest > 1.0, (
-                f"run_sharded should beat run() wall-clock on {cpus} CPUs, got "
-                f"{speedup_on_largest:.2f}x on the largest stream"
-            )
-        else:
-            assert speedup_on_largest >= 0.98, (
-                "single-CPU auto mode must delegate in-process (pool "
-                f"fallback), got {speedup_on_largest:.2f}x on the largest stream"
-            )
 
 
 # Corpus-aggregate floor for the lockstep sweep.  ~7.1x measured
@@ -464,7 +350,7 @@ def test_bench_engine_faultsim_campaign(fifo_rt, fifo_si, fifo_bm):
     ``"quick": true``.
     """
     from repro.engine import pool as engine_pool
-    from repro.engine.rappid_batch import _worker_count
+    from repro.engine.pool import worker_count
     from repro.testability.simulation import (
         _reference_simulate_faults,
         campaign_signature,
@@ -572,7 +458,7 @@ def test_bench_engine_faultsim_campaign(fifo_rt, fifo_si, fifo_bm):
 
     summary = {
         "quick": QUICK,
-        "cpu_count": _worker_count(),
+        "cpu_count": worker_count(),
         "reference_s": round(reference_time, 3),
         "batch_s": round(batch_time, 3),
         "speedup": round(speedup, 2),
@@ -653,10 +539,10 @@ def test_bench_engine_faultsim_sharded_wallclock(fifo_rt):
     from repro.circuit.analysis import chain_environment_rules as chain_rules
     from repro.circuit.netlist import chain_handshake_cells
     from repro.engine import pool as engine_pool
-    from repro.engine.rappid_batch import _worker_count
+    from repro.engine.pool import worker_count
     from repro.testability.simulation import campaign_signature, simulate_faults
 
-    cpus = _worker_count()
+    cpus = worker_count()
     stages = 4 if QUICK else 16
     netlist = chain_handshake_cells(fifo_rt.netlist, stages)
     rules = chain_rules(stages)

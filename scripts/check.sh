@@ -60,7 +60,6 @@ fi
 # benchmarks/test_bench_engine.py and benchmarks/test_bench_reach.py
 # (quick mode marks the files "quick": true and skips the timing
 # assertions):
-#   BENCH_sharded.json   run vs run_sharded instructions/sec + pool decision
 #   BENCH_sim.json       reference vs opcode-kernel transitions/sec
 #   BENCH_faultsim.json  per-fault reference vs batch fault engine + coverage
 #   BENCH_reach.json     full vs partial-order-reduced reachability states
@@ -69,7 +68,7 @@ fi
 # In --full mode all files must exist and have been rewritten by the
 # benchmark run just above -- a missing or stale file means the summary
 # test silently stopped running, which should fail loudly here.
-for bench_file in BENCH_sharded.json BENCH_sim.json BENCH_faultsim.json BENCH_reach.json BENCH_service.json; do
+for bench_file in BENCH_sim.json BENCH_faultsim.json BENCH_reach.json BENCH_service.json; do
     if [[ ! -f "$bench_file" ]]; then
         if [[ "${1:-}" == "--full" ]]; then
             echo "check.sh: FAIL - $bench_file was not produced" >&2

@@ -44,13 +44,14 @@ contract.  This lint makes them mechanical:
     Service capability handlers (``src/repro/service/handlers``) sit on
     the hot path of every client request, so their engine work must go
     through the supervised entry points built on
-    ``resilience.supervised_map`` (``run_sharded``,
-    ``stuck_at_coverage``/``simulate_faults``, ``explore``/
-    ``build_reachability_graph``) -- never a raw executor.  A raw
+    ``resilience.supervised_map`` (``stuck_at_coverage``/
+    ``simulate_faults``, ``explore``/``build_reachability_graph``) or an
+    in-process entry point that never touches the pool
+    (``RappidDecoder``) -- never a raw executor.  A raw
     ``.submit``/``.map``/``get_pool``/``ProcessPoolExecutor`` in a
     handler bypasses retry, respawn, and salvage, turning any worker
     death into a client-visible error; and a handler module that
-    references no supervised entry point at all has smuggled its engine
+    references none of those entry points has smuggled its engine
     access in through some unvetted side door.
 
 Diagnostics are ``file:line: rule: message`` lines on stdout; the exit
@@ -284,15 +285,19 @@ def check_dispatch_catches(src_root: Path) -> List[Finding]:
 
 
 # The engine entry points whose pool dispatch is already supervised; a
-# handler module must reach the engine through (at least) one of these.
+# handler module must reach the engine through (at least) one of these
+# or of the in-process entry points below.
 _SUPERVISED_ENTRY_POINTS = {
     "supervised_map",
-    "run_sharded",
     "stuck_at_coverage",
     "simulate_faults",
     "explore",
     "build_reachability_graph",
 }
+
+# Engine entry points that evaluate in-process and never dispatch to the
+# pool; reaching the engine through one of these is equally vetted.
+_IN_PROCESS_ENTRY_POINTS = {"RappidDecoder"}
 
 # Raw dispatch surfaces a handler must never touch directly.
 _RAW_DISPATCH_ATTRS = {
@@ -315,8 +320,9 @@ def check_handler_dispatch(handlers_root: Path) -> List[Finding]:
             continue
         tree = _parse(path)
         text = path.read_text()
-        supervised = any(
-            entry in text for entry in _SUPERVISED_ENTRY_POINTS
+        vetted = any(
+            entry in text
+            for entry in _SUPERVISED_ENTRY_POINTS | _IN_PROCESS_ENTRY_POINTS
         )
         raw_sites: List[int] = []
         for node in ast.walk(tree):
@@ -346,21 +352,21 @@ def check_handler_dispatch(handlers_root: Path) -> List[Finding]:
                     "handler-unsupervised-dispatch",
                     "capability handler dispatches to the pool directly; "
                     "route engine work through a supervised entry point "
-                    "(supervised_map / run_sharded / stuck_at_coverage / "
-                    "explore) so retry, respawn, and salvage apply",
+                    "(supervised_map / stuck_at_coverage / explore) so "
+                    "retry, respawn, and salvage apply",
                 )
             )
-        if not supervised and not raw_sites:
+        if not vetted and not raw_sites:
             findings.append(
                 Finding(
                     path,
                     1,
                     "handler-unsupervised-dispatch",
                     "capability handler references no supervised engine "
-                    "entry point (supervised_map / run_sharded / "
-                    "stuck_at_coverage / simulate_faults / explore / "
-                    "build_reachability_graph); engine access must go "
-                    "through one of them",
+                    "entry point (supervised_map / stuck_at_coverage / "
+                    "simulate_faults / explore / build_reachability_graph) "
+                    "and no in-process one (RappidDecoder); engine access "
+                    "must go through one of them",
                 )
             )
     return findings

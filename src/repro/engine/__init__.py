@@ -73,17 +73,13 @@ When delegation kicks in
   floating-point operations in the same order as the retained
   ``RappidDecoder._reference_run`` (bit-identical results) after
   collapsing the latency models into lookup tables and the instruction
-  stream into flat arrays.  ``run_batched`` accepts an explicit
-  :class:`~repro.engine.rappid_batch.ShardState` carry so evaluation can
-  start from any seam and report its carry-out; ``run_sharded`` builds on
-  that to evaluate very large workloads across worker processes (compact
-  flat-array IPC, parallel cold-seam solves, exact warm seam fix-up) with
-  results **bit-identical** to ``run``.
+  stream into flat arrays.  It is one in-process pass: a single fast
+  loop plus vectorised steering and reductions.
 
 Resilient dispatch (``engine.resilience`` + ``engine.chaos``)
 -------------------------------------------------------------
-Both pool consumers (``run_sharded``'s cold-shard fan-out and
-``FaultSimEngine``'s fault-chunk round-robin) dispatch through
+The pool's one consumer, ``FaultSimEngine``'s fault-chunk round-robin,
+dispatches through
 :func:`~repro.engine.resilience.supervised_map`: per-task deadlines,
 bounded retries with exponential backoff for *infrastructure* failures
 only (broken pool, spawn/IPC errors, timeouts), automatic pool respawn
@@ -109,7 +105,7 @@ from repro.engine.chaos import ChaosPlan
 from repro.engine.events import BatchEventQueue, CompiledNetlist
 from repro.engine.faultsim import FaultSimEngine
 from repro.engine.marking import EncodingError, NetEncoding, explore_net
-from repro.engine.rappid_batch import ShardState, run_batched, run_sharded
+from repro.engine.rappid_batch import run_batched
 from repro.engine.resilience import PoolDispatchError, supervised_map
 from repro.engine.simkernel import LazyWaveforms, SimKernel
 
@@ -122,10 +118,8 @@ __all__ = [
     "LazyWaveforms",
     "NetEncoding",
     "PoolDispatchError",
-    "ShardState",
     "SimKernel",
     "explore_net",
     "run_batched",
-    "run_sharded",
     "supervised_map",
 ]

@@ -1856,10 +1856,10 @@ class FaultSimEngine:
 
         ``faults`` yields objects with ``net``/``value`` attributes
         (:class:`repro.testability.faults.StuckAtFault`) or plain
-        ``(net, value)`` pairs.  ``shards``/``use_processes`` mirror
-        ``RappidDecoder.run_sharded``: auto mode consults the pool
-        policy (single-CPU hosts and small campaigns stay in-process)
-        and every decision lands in ``pool.LAST_DECISION``.
+        ``(net, value)`` pairs.  ``shards``/``use_processes`` are the pool
+        knobs: auto mode consults the pool policy (single-CPU hosts and
+        small campaigns stay in-process) and every decision lands in
+        ``pool.LAST_DECISION``.
 
         Deterministic (non-jittered) campaigns consult the static
         ``"collapse"`` analysis unless the engine was built with

@@ -1,16 +1,16 @@
 """Process-global persistent worker pool for sharded evaluation.
 
-``RappidDecoder.run_sharded`` used to spin up a fresh
-``ProcessPoolExecutor`` per call, paying worker spawn-up (interpreter
-fork, module import) every time -- measurably losing to the monolithic
-``run()`` on small streams and single-CPU hosts (see
-``BENCH_sharded.json``).  This module keeps **one** lazily created,
-process-global pool alive across calls:
+Its one consumer is the fault-simulation engine, which splits large
+stuck-at campaigns into fault chunks
+(:meth:`~repro.engine.faultsim.FaultSimEngine._sweep_verdicts`).
+Spawning a fresh ``ProcessPoolExecutor`` per campaign would pay worker
+start-up (interpreter fork, module import) every time, so this module
+keeps **one** lazily created, process-global pool alive across calls:
 
 * :func:`get_pool` creates the pool on first use (sized to the host's
   scheduling affinity) and returns the same executor afterwards, so the
-  second and later ``run_sharded`` calls reuse warm workers -- asserted
-  by a worker-pid probe test.
+  second and later campaigns reuse warm workers -- asserted by a
+  worker-pid probe test.
 * **Fork-safety guard**: the pool remembers the PID that created it.  A
   forked child (including one of the pool's own workers) that reaches
   :func:`get_pool` sees a PID mismatch and builds its own pool instead of
@@ -20,13 +20,12 @@ process-global pool alive across calls:
   :func:`discard` so the next call starts clean.
 * :func:`decide` centralises the in-process fallback policy: on a
   single-CPU host, or when the estimated per-shard work is below the
-  calibrated :data:`POOL_MIN_SHARD_INSTRUCTIONS`, sharding overhead
-  cannot win, so callers evaluate in-process.  Every ``run_sharded``
-  call records its decision in :data:`LAST_DECISION` so the benchmark
-  harness can persist it next to the timings (making trajectories
-  comparable across hosts).
+  caller's calibrated floor, sharding overhead cannot win, so callers
+  evaluate in-process.  Every decision lands in :data:`LAST_DECISION`
+  so the benchmark harness can persist it next to the timings (making
+  trajectories comparable across hosts).
 * **Shared-memory payloads**: callers that ship one large immutable
-  blob (compiled netlist tables, shard arrays) to *several* worker
+  blob (compiled netlist tables) to *several* worker
   calls publish it once with :func:`publish_payload` and pass the tiny
   :class:`PayloadRef` handle instead.  Large payloads ride in a
   ``multiprocessing.shared_memory`` segment that every worker attaches
@@ -53,12 +52,7 @@ from concurrent.futures import ProcessPoolExecutor
 from repro.engine import chaos
 from repro.engine.records import ScopedRecord
 
-# Below this many instructions per shard the protocol overhead (payload
-# packing, IPC, seam replay) outweighs parallel evaluation even on warm
-# workers; calibrated on the BENCH_sharded.json workloads.
-POOL_MIN_SHARD_INSTRUCTIONS = 2_048
-
-# Decision record of the most recent run_sharded call:
+# Decision record of the most recent pool decision:
 # {"use_pool": bool, "reason": str, "cpu_count": int, "per_shard": int}.
 # Context-scoped (see repro.engine.records): each thread / asyncio task
 # observes its own record, so concurrent service requests cannot clobber
@@ -165,40 +159,30 @@ def worker_pids() -> Tuple[int, ...]:
 
 
 def decide(
-    instruction_count: int,
+    work_units: int,
     shards: int,
+    floor: int,
     forced: Optional[bool] = None,
-    min_shard_instructions: int = 0,
-    floor: Optional[int] = None,
 ) -> Tuple[bool, str]:
     """Should this sharded call use the worker pool?
 
     Returns ``(use_pool, reason)`` and records the full decision in
     :data:`LAST_DECISION`.  ``forced`` mirrors ``use_processes``:
     ``True``/``False`` bypass the policy (the caller asked explicitly),
-    ``None`` applies it: single-CPU hosts and streams whose per-shard
-    work sits below the threshold stay in-process.  The threshold is the
-    caller's ``min_shard_instructions`` or the calibrated floor,
-    whichever is larger -- raising the knob defers pooling to bigger
-    streams, but auto mode never pools below the floor (pool overhead is
-    measured to lose there; force ``use_processes=True`` to override).
-    The floor defaults to :data:`POOL_MIN_SHARD_INSTRUCTIONS`, which is
-    calibrated in RAPPID instructions; callers whose work unit is not an
-    instruction (the fault-simulation engine counts faults per shard)
-    pass their own calibrated ``floor``.
+    ``None`` applies it: single-CPU hosts and calls whose per-shard work
+    sits below ``floor`` stay in-process (pool overhead is measured to
+    lose there; force ``use_processes=True`` to override).  ``floor`` is
+    the caller's calibrated minimum per shard, in its own work units
+    (the fault-simulation engine counts faults).
     """
     cpus = worker_count()
-    per_shard = instruction_count // max(shards, 1)
-    threshold = max(
-        POOL_MIN_SHARD_INSTRUCTIONS if floor is None else floor,
-        min_shard_instructions,
-    )
+    per_shard = work_units // max(shards, 1)
     if forced is not None:
         use_pool = bool(forced)
         reason = "forced-pool" if use_pool else "forced-in-process"
     elif cpus <= 1:
         use_pool, reason = False, "single-cpu"
-    elif per_shard < threshold:
+    elif per_shard < floor:
         use_pool, reason = False, "below-threshold"
     else:
         use_pool, reason = True, "pool"
@@ -349,10 +333,9 @@ def release_payload(ref: PayloadRef) -> None:
 def forget_cached_payload(ref: PayloadRef) -> None:
     """Drop this process's cached bytes for ``ref`` (worker-side).
 
-    One-shot payloads (``run_sharded`` publishes a fresh token per call)
-    would otherwise pin their blob in the worker cache with no chance of
-    a future hit; callers that decode the bytes into a longer-lived form
-    call this right after decoding.
+    Callers that decode the bytes into a longer-lived form call this
+    right after decoding, so the worker cache does not pin the raw blob
+    next to its decoded copy.
     """
     _PAYLOAD_CACHE.pop(ref.token, None)
 

@@ -12,87 +12,28 @@ results are bit-identical -- while stripping the interpreter overhead:
   ``map`` passes instead of per-iteration dataclass attribute chains;
 * the per-column (cache-line) arrival recursion is flattened into dict
   lookups with a recursive slow path only for lines in which no
-  instruction starts;
+  instruction starts, and each line's consumption time is stored when
+  the stream leaves the line rather than once per instruction;
 * interval/latency reductions run vectorised (numpy, exact float64 ops)
   when numpy is importable, with pure-Python fallbacks.
 
 ``energy_pj`` alone is accumulated as one closed-form sum instead of four
 adds per instruction, so it may differ from the reference in the last
 ulp; everything else compares equal with ``==``.
-
-Warm-start seams (:class:`ShardState`)
---------------------------------------
-``run_batched`` (and both loop bodies) accept an explicit carry --
-previous tag time and length, per-row ``buffer_free``, the round-robin
-row phase, and the ``line_consumed``/``line_arrival`` tails -- so a
-stream can be evaluated from any seam state and report its carry-out
-(``emit_carry=True``).  Chaining shards through their carries performs
-the same floating-point operations in the same order as one monolithic
-run: per-instruction times concatenate bit-identically.
-
-Exact sharded evaluation (:func:`run_sharded`)
-----------------------------------------------
-``run_sharded`` splits a large stream at cache-line boundaries, ships
-each shard to worker processes as compact flat arrays (``array`` of
-lengths, class codes and line indices -- never pickled ``Instruction``
-dataclasses), and has every worker solve its shard from a *cold* seam in
-parallel.  On the pool path, large calls publish the whole set of shard
-arrays **once** through the shared-memory payload machinery of
-:mod:`repro.engine.pool` (:func:`~repro.engine.pool.publish_payload`):
-each worker call ships only a tiny ``(handle, shard index)`` pair, the
-worker attaches/unpickles the shard set once per call token
-(:func:`_cold_shard_payload` caches the decoded set), and the parent
-unlinks the segment when every shard has returned -- large streams stop
-pushing their flat buffers through the executor pipe per shard.  Calls
-whose arrays sit below the shared-memory threshold, or any call when
-``/dev/shm`` is unavailable, dispatch each shard's own arrays directly
-in its worker call instead (shipping the full set inline per call would
-multiply the IPC volume); the transport taken is recorded as
-``payload`` (``"shm"``/``"inline"``) in
-:data:`repro.engine.pool.LAST_DECISION`.  The parent then stitches shards sequentially: it replays a few
-cache lines of each shard from the true (warm) seam state and watches for
-the warm trajectory to lock onto the worker's cold trajectory at one
-constant offset ``d``.  All calibration latencies are integer-valued
-picoseconds, so every time in the system is an exactly-representable
-float64 integer; once every live state component (tag times, per-line
-consumed/arrival times) in a verification window agrees with ``cold + d``
-bit-for-bit, every later value provably equals ``cold + d`` as well, and
-the precomputed suffix is adopted by one exact vectorised add.  Steering
-runs once over the merged tag array -- the identical :func:`_steer` call
-``run_batched`` makes -- and the shared :func:`_finalize` derives the
-measurement fields, so ``run_sharded`` is **bit-identical** to
-:func:`run_batched` on every field (``energy_pj`` is the very same
-closed-form sum).  Configurations with fractional calibrations, or seams
-that never lock (the offset check fails), degrade gracefully: the parent
-replays the whole shard from the warm seam, which is still exact, merely
-not parallel.
 """
 
 from __future__ import annotations
 
-import pickle
-from array import array
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.rappid.isa import (
-    InstructionClass,
-    decode_latency_ps,
-    steering_latency_ps,
-    tag_latency_ps,
-)
+from repro.rappid.isa import decode_latency_ps, steering_latency_ps, tag_latency_ps
 from repro.rappid.workload import CacheLine, Instruction
 
 try:  # optional: same IEEE float64 ops, just faster; the image has it
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is baked into the toolchain
     _np = None
-
-_CLASS_LIST: List[InstructionClass] = list(InstructionClass)
-_CLASS_CODES: Dict[InstructionClass, int] = {
-    cls: code for code, cls in enumerate(_CLASS_LIST)
-}
 
 _NEG_INF = float("-inf")
 
@@ -110,33 +51,6 @@ def _validate_config(config) -> None:
             "line prefetch_depth earlier, so depth 0 would make every line "
             "block on itself"
         )
-
-
-@dataclass
-class ShardState:
-    """Carry state of the RAPPID recurrence at an instruction-stream seam.
-
-    ``tag_time``/``prev_length`` describe the last tagged instruction
-    before the seam, ``buffer_free``/``next_row`` the steering fabric
-    (per-row absolute free times and the round-robin phase of the next
-    instruction), and ``line_consumed``/``line_arrival`` the cache-line
-    state, keyed by absolute line index.  The line dicts are carried in
-    full (a gap line arbitrarily far back can in principle be re-read
-    through the arrival recursion); :func:`run_sharded` never ships them
-    across processes, so their size only costs memory, not IPC.
-    """
-
-    tag_time: float = _NEG_INF
-    prev_length: int = 0
-    next_row: int = 0
-    buffer_free: List[float] = field(default_factory=list)
-    line_consumed: Dict[int, float] = field(default_factory=dict)
-    line_arrival: Dict[int, float] = field(default_factory=dict)
-
-    @classmethod
-    def cold(cls, rows: int) -> "ShardState":
-        """The state of an untouched front end (stream start)."""
-        return cls(buffer_free=[0.0] * rows)
 
 
 def _stream_arrays(
@@ -168,35 +82,15 @@ def _last_lines(
     ]
 
 
-def _latency_tables(
-    lengths: Sequence[int], prev_length: int = 0
-) -> Tuple[List[float], List[float]]:
-    """Tag/steer lookup tables covering the stream (and a carried length)."""
+def _latency_tables(lengths: Sequence[int]) -> Tuple[List[float], List[float]]:
+    """Tag/steer lookup tables covering the stream's instruction lengths."""
     size = max(lengths) + 1
-    if prev_length >= size:
-        size = prev_length + 1
     tag_table = [0.0] * size
     steer_table = [0.0] * size
     for length in set(lengths):
         tag_table[length] = tag_latency_ps(length)
         steer_table[length] = steering_latency_ps(length)
-    if prev_length and tag_table[prev_length] == 0.0:
-        tag_table[prev_length] = tag_latency_ps(prev_length)
     return tag_table, steer_table
-
-
-def _pick_loop(line_bytes: int, prefetch_depth: int, table_size: int):
-    """Hot loop when no instruction can span ``prefetch_depth`` lines.
-
-    Deferring a line's ``line_consumed`` store to the line change is
-    observable only if a straddling fetch can read the *current* line's
-    consumption, i.e. when an instruction can span at least
-    ``prefetch_depth`` line boundaries.  The common regime takes the hot
-    loop; the exotic one keeps per-instruction stores.
-    """
-    if prefetch_depth > (line_bytes + table_size - 3) // line_bytes:
-        return _hot_loop
-    return _general_loop
 
 
 def _intervals(times: Sequence[float]) -> List[float]:
@@ -211,8 +105,6 @@ def run_batched(
     config,
     instructions: Sequence[Instruction],
     lines: Sequence[CacheLine],
-    carry: Optional[ShardState] = None,
-    emit_carry: bool = False,
 ) -> Optional[dict]:
     """Evaluate an instruction stream in one batched pass.
 
@@ -220,85 +112,45 @@ def run_batched(
     :class:`~repro.rappid.microarch.RappidResult` as a dict (the caller
     owns the result type, avoiding a circular import), or ``None`` for an
     empty stream.
-
-    ``carry`` warm-starts the evaluation from a seam state (the passed
-    object is not mutated); ``emit_carry=True`` adds the carry-out under
-    the ``"carry_out"`` key.  Chaining calls through their carries
-    reproduces a monolithic run's per-instruction times bit-for-bit;
-    intervals and latencies are reported per call, over this stream only.
     """
     _validate_config(config)
     if not instructions:
         return None
 
     line_bytes = config.line_bytes
-    prefetch_depth = config.prefetch_depth
-
     lengths, classes, start_bytes, first_lines = _stream_arrays(
         instructions, line_bytes
     )
     last_lines = _last_lines(lengths, start_bytes, line_bytes)
-    if carry is None:
-        carry = ShardState.cold(config.rows)
-    tag_table, steer_table = _latency_tables(lengths, carry.prev_length)
+    tag_table, steer_table = _latency_tables(lengths)
 
-    loop = _pick_loop(line_bytes, prefetch_depth, len(tag_table))
-    avail_times, tag_times, line_consumed, line_arrival = loop(
+    avail_times, tag_times, line_consumed = _hot_loop(
         lengths,
         classes,
         first_lines,
         last_lines,
         tag_table,
-        steer_table,
-        prefetch_depth,
+        config.prefetch_depth,
         config.line_fetch_latency_ps,
-        carry.tag_time,
-        carry.prev_length,
-        dict(carry.line_consumed),
-        dict(carry.line_arrival),
     )
-
-    initial_free = carry.buffer_free or [0.0] * config.rows
-    first_row = carry.next_row
-    issue_times, row_issues, buffer_free, next_row = _steer(
+    issue_times, row_issues = _steer(
         tag_times,
         lengths,
         steer_table,
         config.rows,
         config.output_buffer_cycle_ps,
-        initial_free,
-        first_row,
     )
-
-    if carry.line_consumed:
-        # Per-call contract: line intervals cover only the lines this
-        # stream consumed, not the carried-in history (a carried line this
-        # call re-consumed reports its updated time).
-        consumed_values = [line_consumed[line] for line in set(first_lines)]
-    else:
-        consumed_values = list(line_consumed.values())
-    fields = _finalize(
+    return _finalize(
         config,
         lengths,
         avail_times,
         tag_times,
         issue_times,
         row_issues,
-        consumed_values,
+        list(line_consumed.values()),
         len(instructions),
         len(lines),
-        first_row,
     )
-    if emit_carry:
-        fields["carry_out"] = ShardState(
-            tag_time=tag_times[-1],
-            prev_length=lengths[-1],
-            next_row=next_row,
-            buffer_free=buffer_free,
-            line_consumed=line_consumed,
-            line_arrival=line_arrival,
-        )
-    return fields
 
 
 def _finalize(
@@ -311,13 +163,8 @@ def _finalize(
     consumed_values: List[float],
     instruction_count: int,
     line_count: int,
-    first_row: int = 0,
 ) -> dict:
-    """Derive the measurement fields from the raw per-instruction times.
-
-    Shared verbatim by :func:`run_batched` and :func:`run_sharded` so the
-    two entry points perform the identical final floating-point ops.
-    """
+    """Derive the measurement fields from the raw per-instruction times."""
     rows = config.rows
     steer_intervals: List[float] = []
     if _np is not None and len(issue_times) > 64:
@@ -328,12 +175,8 @@ def _finalize(
         tag_intervals = tag_deltas[tag_deltas > 0.0].tolist()
         for row in range(rows):
             # Round-robin row assignment: row r's issues sit at positions
-            # congruent to (r - first_row) modulo rows.
-            row_arr = (
-                row_issues[row]
-                if row_issues
-                else issue_arr[(row - first_row) % rows :: rows]
-            )
+            # congruent to r modulo rows.
+            row_arr = row_issues[row] if row_issues else issue_arr[row::rows]
             row_deltas = _np.diff(row_arr)
             steer_intervals.extend(row_deltas[row_deltas > 0.0].tolist())
     else:
@@ -341,9 +184,7 @@ def _finalize(
         total_time = max(issue_times)
         tag_intervals = _intervals(tag_times)
         for row in range(rows):
-            steer_intervals.extend(
-                _intervals(issue_times[(row - first_row) % rows :: rows])
-            )
+            steer_intervals.extend(_intervals(issue_times[row::rows]))
     energy = (
         instruction_count
         * (config.decode_energy_pj + config.tag_energy_pj + config.steer_energy_pj)
@@ -364,20 +205,13 @@ def _finalize(
     }
 
 
-def _decode_tables(size: int) -> Tuple[List[object], List[float], Dict]:
-    """Empty lazy decode-latency caches (see the loop bodies)."""
-    return [None] * size, [0.0] * size, {}
-
-
 def _steer(
     tag_times: List[float],
     lengths: List[int],
     steer_table: List[float],
     rows: int,
     cycle: float,
-    initial_free: Optional[List[float]] = None,
-    first_row: int = 0,
-) -> Tuple[List[float], Optional[list], List[float], int]:
+) -> Tuple[List[float], Optional[list]]:
     """Issue times for round-robin steering into ``rows`` output buffers.
 
     The recurrence per row is ``issue[k] = max(tag[k], issue[k-1] + cycle)
@@ -390,67 +224,50 @@ def _steer(
     per row in C.  Anything else (fractional user calibrations, no numpy)
     falls back to the sequential loop.
 
-    ``initial_free``/``first_row`` warm-start the fabric at a seam.
-
-    Returns ``(issue_times, per-row issue arrays or None, final
-    buffer_free, next_row)``.
+    Returns ``(issue_times, per-row issue arrays or None)``.
     """
     n = len(tag_times)
-    if initial_free is None:
-        initial_free = [0.0] * rows
-    use_np = _np is not None and n > 64
-    if use_np:
+    if _np is not None and n > 64:
         tag_arr = _np.asarray(tag_times)
         steer_arr = _np.asarray(steer_table)[_np.asarray(lengths)]
-        free_arr = _np.asarray(initial_free)
         exact = (
             float(cycle).is_integer()
             and cycle >= 0.0
             and bool(_np.isfinite(tag_arr).all())
             and bool((tag_arr == _np.floor(tag_arr)).all())
             and bool((steer_arr == _np.floor(steer_arr)).all())
-            and bool((free_arr == _np.floor(free_arr)).all())
             and float(_np.abs(tag_arr).max(initial=0.0)) < _EXACT_BOUND
             and float(_np.abs(steer_arr).max(initial=0.0)) < _EXACT_BOUND
-            and float(_np.abs(free_arr).max(initial=0.0)) < _EXACT_BOUND
             and n * (float(_np.abs(steer_arr).max(initial=0.0)) + cycle)
             < _EXACT_BOUND
         )
         if exact:
             issue_arr = _np.empty(n)
             row_issues = []
-            final_free = list(initial_free)
             for row in range(rows):
-                offset = (row - first_row) % rows
-                tag_row = tag_arr[offset::rows]
+                tag_row = tag_arr[row::rows]
                 if not len(tag_row):
                     row_issues.append(tag_row)
                     continue
-                steer_row = steer_arr[offset::rows]
+                steer_row = steer_arr[row::rows]
                 ceiling = tag_row + steer_row
-                # The seam buffer_free enters only the first element.
-                ceiling[0] = max(ceiling[0], initial_free[row] + steer_row[0])
+                # Every buffer starts free at 0.0.
+                ceiling[0] = max(ceiling[0], 0.0 + steer_row[0])
                 offsets = _np.empty(len(tag_row))
                 offsets[0] = 0.0
                 _np.cumsum(steer_row[1:] + cycle, out=offsets[1:])
                 issue_row = (
                     _np.maximum.accumulate(ceiling - offsets) + offsets
                 )
-                issue_arr[offset::rows] = issue_row
+                issue_arr[row::rows] = issue_row
                 row_issues.append(issue_row)
-                final_free[row] = float(issue_row[-1]) + cycle
-            return (
-                issue_arr.tolist(),
-                row_issues,
-                final_free,
-                (first_row + n) % rows,
-            )
+            return issue_arr.tolist(), row_issues
 
     steer_lats = list(map(steer_table.__getitem__, lengths))
     issue_times: List[float] = []
     issue_append = issue_times.append
-    buffer_free = list(initial_free)
-    row = first_row
+    buffer_free = [0.0] * rows
+    row = 0
     for tag_time, steer_lat in zip(tag_times, steer_lats):
         free = buffer_free[row]
         steer_start = tag_time if tag_time >= free else free
@@ -460,7 +277,7 @@ def _steer(
         if row == rows:
             row = 0
         issue_append(issue)
-    return issue_times, None, buffer_free, row
+    return issue_times, None
 
 
 def _hot_loop(
@@ -469,28 +286,28 @@ def _hot_loop(
     first_lines: List[int],
     last_lines: List[int],
     tag_table: List[float],
-    steer_table: List[float],
     prefetch_depth: int,
     fetch_latency: float,
-    previous_tag_time: float = _NEG_INF,
-    previous_length: int = 0,
-    line_consumed: Optional[Dict[int, float]] = None,
-    line_arrival: Optional[Dict[int, float]] = None,
-) -> Tuple[List[float], List[float], Dict[int, float], Dict[int, float]]:
+) -> Tuple[List[float], List[float], Dict[int, float]]:
     """Per-instruction recurrence with line-consumption stores deferred.
 
     Tag times are nondecreasing, so one store per line (of the line's last
-    tag) equals the reference's per-instruction running max; the caller
-    guarantees no straddling fetch can observe the deferral.  The four
-    trailing parameters carry a seam state (cold defaults reproduce the
-    reference's position-0 special case: -inf makes the first tag collapse
-    to ``ready`` without a branch).
+    tag) equals the reference's per-instruction running max.  The deferral
+    is observable only through a fetch that straddles into a line whose
+    arrival reads the *current* line's consumption, so an instruction that
+    starts in the current line and ends in a later one publishes the
+    pending store before walking its lines.  The first tag starts from
+    -inf, which reproduces the reference's position-0 special case
+    without a branch.
     """
-    decode_class, decode_lat_of, decode_overflow = _decode_tables(len(tag_table))
-    if line_arrival is None:
-        line_arrival = {}
-    if line_consumed is None:
-        line_consumed = {}
+    table_size = len(tag_table)
+    # Lazy decode-latency caches: the class first seen at each length,
+    # its latency, and every other (length, class) pair.
+    decode_class: List[object] = [None] * table_size
+    decode_lat_of = [0.0] * table_size
+    decode_overflow: Dict[tuple, float] = {}
+    line_arrival: Dict[int, float] = {}
+    line_consumed: Dict[int, float] = {}
     arrival_get = line_arrival.get
     consumed_get = line_consumed.get
 
@@ -515,6 +332,8 @@ def _hot_loop(
     avail_append = avail_times.append
     tag_append = tag_times.append
 
+    previous_tag_time = _NEG_INF
+    previous_length = 0
     current_line = -1
     current_avail = 0.0
     for length, instruction_class, first_line, last_line in zip(
@@ -522,6 +341,8 @@ def _hot_loop(
     ):
         if first_line == current_line:
             bytes_available = current_avail
+            if last_line != first_line:
+                line_consumed[current_line] = previous_tag_time
         else:
             if current_line >= 0:
                 line_consumed[current_line] = previous_tag_time
@@ -574,636 +395,4 @@ def _hot_loop(
         previous_length = length
     if current_line >= 0:
         line_consumed[current_line] = previous_tag_time
-    return avail_times, tag_times, line_consumed, line_arrival
-
-
-def _general_loop(
-    lengths: List[int],
-    classes: List[object],
-    first_lines: List[int],
-    last_lines: List[int],
-    tag_table: List[float],
-    steer_table: List[float],
-    prefetch_depth: int,
-    fetch_latency: float,
-    previous_tag_time: float = _NEG_INF,
-    previous_length: int = 0,
-    line_consumed: Optional[Dict[int, float]] = None,
-    line_arrival: Optional[Dict[int, float]] = None,
-) -> Tuple[List[float], List[float], Dict[int, float], Dict[int, float]]:
-    """Reference-shaped loop with per-instruction line_consumed stores.
-
-    Used for exotic configurations (instructions that can span
-    ``prefetch_depth`` line boundaries) where the deferred store of
-    :func:`_hot_loop` could be observed.  Accepts the same seam-state
-    carry as :func:`_hot_loop`.
-    """
-    decode_class, decode_lat_of, decode_overflow = _decode_tables(len(tag_table))
-    if line_arrival is None:
-        line_arrival = {}
-    if line_consumed is None:
-        line_consumed = {}
-
-    def arrival_of(line_index: int) -> float:
-        cached = line_arrival.get(line_index)
-        if cached is not None:
-            return cached
-        if line_index < prefetch_depth:
-            arrival = 0.0
-        else:
-            blocker = line_index - prefetch_depth
-            previous_done = line_consumed.get(blocker)
-            if previous_done is None:
-                previous_done = arrival_of(blocker)
-            arrival = previous_done + fetch_latency
-        line_arrival[line_index] = arrival
-        return arrival
-
-    avail_times: List[float] = []
-    tag_times: List[float] = []
-    for length, instruction_class, first_line, last_line in zip(
-        lengths, classes, first_lines, last_lines
-    ):
-        bytes_available = arrival_of(first_line)
-        for line in range(first_line + 1, last_line + 1):
-            arrival = arrival_of(line)
-            if arrival > bytes_available:
-                bytes_available = arrival
-        avail_times.append(bytes_available)
-
-        if decode_class[length] is instruction_class:
-            decode_lat = decode_lat_of[length]
-        else:
-            decode_lat = decode_overflow.get((length, instruction_class))
-            if decode_lat is None:
-                decode_lat = decode_latency_ps(length, instruction_class)
-                decode_overflow[(length, instruction_class)] = decode_lat
-            if decode_class[length] is None:
-                decode_class[length] = instruction_class
-                decode_lat_of[length] = decode_lat
-        ready = bytes_available + decode_lat
-
-        tag_time = previous_tag_time + tag_table[previous_length]
-        if tag_time < ready:
-            tag_time = ready
-        tag_times.append(tag_time)
-
-        consumed = line_consumed.get(first_line, 0.0)
-        line_consumed[first_line] = consumed if consumed >= tag_time else tag_time
-
-        previous_tag_time = tag_time
-        previous_length = length
-    return avail_times, tag_times, line_consumed, line_arrival
-
-
-# -- exact multiprocessing shard protocol --------------------------------------------
-
-
-def _shard_boundaries(first_lines: Sequence[int], shards: int) -> List[int]:
-    """Split instruction indices into contiguous, line-aligned chunks."""
-    n = len(first_lines)
-    boundaries = [0]
-    for shard in range(1, shards):
-        cut = n * shard // shards
-        while cut < n and cut > 0 and first_lines[cut] == first_lines[cut - 1]:
-            cut += 1
-        if cut > boundaries[-1] and cut < n:
-            boundaries.append(cut)
-    boundaries.append(n)
-    return boundaries
-
-
-def _shard_payload(
-    config,
-    lengths: List[int],
-    classes: List[object],
-    first_lines: List[int],
-    last_lines: List[int],
-    start: int,
-    stop: int,
-    base_line: int,
-) -> tuple:
-    """Compact flat-array wire format of one shard (no Instruction objects)."""
-    return (
-        config,
-        array("i", lengths[start:stop]),
-        array("B", map(_CLASS_CODES.__getitem__, classes[start:stop])),
-        array("q", [f - base_line for f in first_lines[start:stop]]),
-        array("q", [l - base_line for l in last_lines[start:stop]]),
-    )
-
-
-def _cold_shard(payload: tuple) -> tuple:
-    """Worker: solve one shard from a cold seam, on flat arrays only.
-
-    Returns ``(avail, tags, consumed-by-line, arrival-by-line)`` as
-    ``array('d')`` buffers; the per-line arrays use NaN for lines the
-    recurrence never touched (gap lines with no instruction start).
-    """
-    config, length_arr, code_arr, first_arr, last_arr = payload
-    lengths = list(length_arr)
-    classes = list(map(_CLASS_LIST.__getitem__, code_arr))
-    first_lines = list(first_arr)
-    last_lines = list(last_arr)
-    tag_table, steer_table = _latency_tables(lengths)
-    loop = _pick_loop(config.line_bytes, config.prefetch_depth, len(tag_table))
-    avail, tags, consumed, arrival = loop(
-        lengths,
-        classes,
-        first_lines,
-        last_lines,
-        tag_table,
-        steer_table,
-        config.prefetch_depth,
-        config.line_fetch_latency_ps,
-        _NEG_INF,
-        0,
-        {},
-        {},
-    )
-    line_count = last_lines[-1] + 1
-    nan = float("nan")
-    consumed_arr = array("d", (consumed.get(L, nan) for L in range(line_count)))
-    arrival_arr = array("d", (arrival.get(L, nan) for L in range(line_count)))
-    return array("d", avail), array("d", tags), consumed_arr, arrival_arr
-
-
-def _publish_shard_set(config, payloads: Sequence[tuple]):
-    """Publish one call's shard arrays as a shared-memory handle, or None.
-
-    The blob holds the config once plus every shard's flat arrays (the
-    config is stripped from each per-shard tuple); workers rebuild the
-    per-shard payload from ``(handle, index)``.  Returns ``None`` when a
-    segment is not worth it or cannot be created -- arrays cheaply
-    estimated below the shared-memory threshold, or ``/dev/shm``
-    unavailable.  An inline handle would ship the *whole* shard set in
-    every worker call (N times the data); the caller then dispatches
-    each shard's own arrays directly instead, which is the same
-    per-call pickling the pre-payload protocol paid.
-    """
-    from repro.engine import pool
-
-    estimate = sum(
-        arr.itemsize * len(arr) for payload in payloads for arr in payload[1:]
-    )
-    if estimate < pool.SHM_MIN_PAYLOAD_BYTES:
-        return None
-    blob = pickle.dumps(
-        {"config": config, "shards": [payload[1:] for payload in payloads]},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    ref = pool.publish_payload(blob)
-    if ref.kind != "shm":
-        pool.release_payload(ref)  # no-op for inline handles
-        return None
-    return ref
-
-
-# Worker-side cache of the one in-flight call's shard set, so a worker
-# serving several shards of one run_sharded call attaches and unpickles
-# it once.  Tokens are one per call and never recur (the parent releases
-# the segment before returning), so a single slot is the right bound --
-# anything older is dead weight in a long-lived worker.
-_SHARD_SET_CACHE: Dict[str, dict] = {}
-
-
-def _cold_shard_payload(ref, index: int) -> tuple:
-    """Worker entry point for the published-payload route.
-
-    Fetches the call's shard set from the shared-memory segment, caches
-    the decoded form per token, and solves shard ``index`` exactly like
-    :func:`_cold_shard`.
-    """
-    from repro.engine import pool
-
-    shard_set = _SHARD_SET_CACHE.get(ref.token)
-    if shard_set is None:
-        shard_set = pickle.loads(pool.fetch_payload(ref))
-        # The decoded set supersedes the raw bytes; drop both the blob
-        # and any previous call's set rather than pinning dead payloads.
-        pool.forget_cached_payload(ref)
-        _SHARD_SET_CACHE.clear()
-        _SHARD_SET_CACHE[ref.token] = shard_set
-    return _cold_shard((shard_set["config"],) + tuple(shard_set["shards"][index]))
-
-
-def _offset_exact(cold_arrays: Sequence) -> bool:
-    """True when every finite cold value is an integer within the exact bound.
-
-    The suffix-adoption step adds a constant offset to the worker's
-    trajectory; that addition is bit-exact only over integer-valued
-    float64s, so fractional calibrations disable adoption (the stitcher
-    then replays the shard fully, which is exact regardless).
-    """
-    if _np is not None:
-        for arr in cold_arrays:
-            values = _np.frombuffer(arr)
-            finite = values[_np.isfinite(values)]
-            if finite.size and (
-                bool((finite != _np.floor(finite)).any())
-                or float(_np.abs(finite).max()) >= _EXACT_BOUND
-            ):
-                return False
-        return True
-    for arr in cold_arrays:
-        for value in arr:
-            if value == value and (
-                value != int(value) or not -_EXACT_BOUND < value < _EXACT_BOUND
-            ):
-                return False
-    return True
-
-
-def _worker_count() -> int:
-    from repro.engine import pool
-
-    return pool.worker_count()
-
-
-def _stitch_shard(
-    config,
-    lengths: List[int],
-    classes: List[object],
-    first_lines: List[int],
-    last_lines: List[int],
-    tag_table: List[float],
-    decode_caches: tuple,
-    start: int,
-    stop: int,
-    base_line: int,
-    cold: tuple,
-    exact_ok: bool,
-    window_lines: int,
-    span_max: int,
-    line_consumed: Dict[int, float],
-    line_arrival: Dict[int, float],
-    previous_tag_time: float,
-    previous_length: int,
-    out_avail: List[float],
-    out_tags: List[float],
-) -> Tuple[float, int]:
-    """Replay one shard from the true seam until it locks onto the cold run.
-
-    Mirrors :func:`_general_loop` instruction by instruction (identical
-    float ops against the authoritative global line state).  After each
-    completed cache line the warm state is compared against the worker's
-    cold state: once every tag, consumed and arrival value across
-    ``window_lines`` consecutive lines differs from the cold value by one
-    constant integer offset ``d`` -- and every window line has a consumed
-    entry, which pins the arrival recursion's reach-back inside the
-    window -- all later warm values provably equal ``cold + d``, so the
-    remaining suffix is adopted with one exact vectorised add.  If the
-    window never locks (or ``exact_ok`` is false) the whole shard is
-    replayed, which is exact, just sequential.
-
-    Returns the carry ``(previous_tag_time, previous_length)``.
-    """
-    cold_avail, cold_tags, cold_consumed, cold_arrival = cold
-    line_count = len(cold_consumed)
-    prefetch_depth = config.prefetch_depth
-    fetch_latency = config.line_fetch_latency_ps
-    decode_class, decode_lat_of, decode_overflow = decode_caches
-    arrival_get = line_arrival.get
-    consumed_get = line_consumed.get
-    shard_first_line = first_lines[start]
-
-    def arrival_of(line_index: int) -> float:
-        cached = arrival_get(line_index)
-        if cached is not None:
-            return cached
-        if line_index < prefetch_depth:
-            arrival = 0.0
-        else:
-            blocker = line_index - prefetch_depth
-            previous_done = consumed_get(blocker)
-            if previous_done is None:
-                previous_done = arrival_of(blocker)
-            arrival = previous_done + fetch_latency
-        line_arrival[line_index] = arrival
-        return arrival
-
-    # Uniform warm-minus-cold tag offset of each completed line (NaN: mixed).
-    line_delta: Dict[int, float] = {}
-
-    def window_offset(top: int) -> Optional[float]:
-        """The lock offset, or None if the window below ``top`` disagrees."""
-        d = line_delta.get(top)
-        if d is None or d != d:
-            return None
-        if d != int(d) or not -_EXACT_BOUND < d < _EXACT_BOUND:
-            return None
-        low = top - window_lines + 1
-        if low < shard_first_line:
-            return None
-        for line in range(low, top + 1):
-            tag_d = line_delta.get(line)
-            if tag_d is not None and tag_d != d:
-                return None
-            index = line - base_line
-            cold_done = cold_consumed[index]
-            warm_done = consumed_get(line)
-            if warm_done is None:
-                # Gap line: the arrival walk could step over the window's
-                # verified state, so refuse to lock on windows with gaps.
-                return None
-            if cold_done != cold_done or warm_done - cold_done != d:
-                return None
-            warm_arrival = arrival_get(line)
-            if warm_arrival is not None:
-                cold_arr = cold_arrival[index]
-                if cold_arr != cold_arr or warm_arrival - cold_arr != d:
-                    return None
-        for line in range(top + 1, top + span_max + 1):
-            index = line - base_line
-            if index >= line_count:
-                break
-            warm_arrival = arrival_get(line)
-            if warm_arrival is not None:
-                cold_arr = cold_arrival[index]
-                if cold_arr != cold_arr or warm_arrival - cold_arr != d:
-                    return None
-        return d
-
-    adopt_from: Optional[int] = None
-    adopt_d = 0.0
-    current_line = -1
-    current_delta: Optional[float] = None
-    i = start
-    while i < stop:
-        first_line = first_lines[i]
-        if first_line != current_line:
-            if current_line >= 0:
-                line_delta[current_line] = (
-                    current_delta if current_delta is not None else float("nan")
-                )
-                if exact_ok:
-                    locked = window_offset(current_line)
-                    if locked is not None:
-                        adopt_from = i
-                        adopt_d = locked
-                        break
-            current_line = first_line
-            current_delta = None
-
-        bytes_available = arrival_of(first_line)
-        for line in range(first_line + 1, last_lines[i] + 1):
-            arrival = arrival_of(line)
-            if arrival > bytes_available:
-                bytes_available = arrival
-        out_avail.append(bytes_available)
-
-        length = lengths[i]
-        instruction_class = classes[i]
-        if decode_class[length] is instruction_class:
-            decode_lat = decode_lat_of[length]
-        else:
-            decode_lat = decode_overflow.get((length, instruction_class))
-            if decode_lat is None:
-                decode_lat = decode_latency_ps(length, instruction_class)
-                decode_overflow[(length, instruction_class)] = decode_lat
-            if decode_class[length] is None:
-                decode_class[length] = instruction_class
-                decode_lat_of[length] = decode_lat
-        ready = bytes_available + decode_lat
-
-        tag_time = previous_tag_time + tag_table[previous_length]
-        if tag_time < ready:
-            tag_time = ready
-        out_tags.append(tag_time)
-
-        consumed = consumed_get(first_line)
-        if consumed is None or consumed < tag_time:
-            line_consumed[first_line] = tag_time
-
-        delta = tag_time - cold_tags[i - start]
-        if current_delta is None:
-            current_delta = delta
-        elif current_delta != delta:
-            current_delta = float("nan")
-
-        previous_tag_time = tag_time
-        previous_length = length
-        i += 1
-
-    if adopt_from is None:
-        return previous_tag_time, previous_length
-
-    # Locked: adopt the precomputed suffix at the constant offset.
-    tail = adopt_from - start
-    if _np is not None:
-        out_avail.extend((_np.frombuffer(cold_avail)[tail:] + adopt_d).tolist())
-        out_tags.extend((_np.frombuffer(cold_tags)[tail:] + adopt_d).tolist())
-    else:
-        out_avail.extend(value + adopt_d for value in cold_avail[tail:])
-        out_tags.extend(value + adopt_d for value in cold_tags[tail:])
-    last_replayed = first_lines[adopt_from - 1]
-    for index in range(line_count):
-        line = base_line + index
-        if line > last_replayed:
-            cold_done = cold_consumed[index]
-            if cold_done == cold_done:
-                line_consumed[line] = cold_done + adopt_d
-        if line not in line_arrival:
-            cold_arr = cold_arrival[index]
-            if cold_arr == cold_arr:
-                line_arrival[line] = cold_arr + adopt_d
-    return cold_tags[-1] + adopt_d, lengths[stop - 1]
-
-
-def run_sharded(
-    config,
-    instructions: Sequence[Instruction],
-    lines: Sequence[CacheLine],
-    shards: int = 2,
-    min_shard_instructions: int = 1_024,
-    use_processes: Optional[bool] = None,
-) -> Optional[dict]:
-    """Exact sharded evaluation of a large stream (bit-identical to run).
-
-    Workers solve line-aligned shards from cold seams in parallel on
-    compact flat arrays; the parent replays a few lines per seam to lock
-    each shard onto the true warm trajectory and adopts the precomputed
-    suffixes (see the module docstring).  Every measurement field equals
-    :func:`run_batched`'s bit-for-bit, including ``energy_pj``.
-
-    Falls back to :func:`run_batched` for a single shard or a stream
-    shorter than ``min_shard_instructions`` per shard.  ``use_processes``
-    is tri-state: ``None`` (default) applies the persistent-pool policy
-    of :func:`repro.engine.pool.decide` -- single-CPU hosts and streams
-    below the calibrated per-shard threshold (the larger of
-    ``min_shard_instructions`` and
-    :data:`~repro.engine.pool.POOL_MIN_SHARD_INSTRUCTIONS`) delegate to
-    :func:`run_batched`, everything else reuses the process-global
-    worker pool; ``False`` forces the full protocol in-process
-    (deterministic testing of the stitcher); ``True`` forces the pool,
-    falling back to in-process evaluation if workers cannot be spawned.
-    The results are identical on every path, and every call records its
-    decision in :data:`repro.engine.pool.LAST_DECISION`.
-    """
-    from repro.engine import pool
-
-    _validate_config(config)
-    if not instructions:
-        return None
-    shards = max(1, shards)
-    use_pool, _reason = pool.decide(
-        len(instructions),
-        shards,
-        forced=use_processes,
-        min_shard_instructions=min_shard_instructions,
-    )
-    if use_processes is None and not use_pool:
-        return run_batched(config, instructions, lines)
-    if shards == 1 or len(instructions) < min_shard_instructions * shards:
-        pool.LAST_DECISION.update(use_pool=False, reason="stream-too-small")
-        return run_batched(config, instructions, lines)
-
-    line_bytes = config.line_bytes
-    lengths, classes, start_bytes, first_lines = _stream_arrays(
-        instructions, line_bytes
-    )
-    last_lines = _last_lines(lengths, start_bytes, line_bytes)
-    boundaries = _shard_boundaries(first_lines, shards)
-    if len(boundaries) <= 2:
-        pool.LAST_DECISION.update(use_pool=False, reason="single-shard-boundary")
-        return run_batched(config, instructions, lines)
-
-    pairs = list(zip(boundaries, boundaries[1:]))
-    # The first shard keeps absolute line indices: its cold seam *is* the
-    # true stream start, so its solution is adopted wholesale (offset 0).
-    bases = [0] + [first_lines[start] for start, _stop in pairs[1:]]
-    payloads = [
-        _shard_payload(
-            config, lengths, classes, first_lines, last_lines, start, stop, base
-        )
-        for (start, stop), base in zip(pairs, bases)
-    ]
-
-    results = None
-    if use_pool:
-        # Persistent process-global pool: created lazily on the first
-        # sharded call, reused (warm workers) by every later one.  The
-        # shard arrays publish once through the shared-memory payload
-        # path; each worker call carries only (handle, shard index).
-        # Dispatch runs supervised (repro.engine.resilience): per-task
-        # deadlines, infrastructure-only retries with pool respawn, and
-        # partial-result salvage.  Application errors raised by worker
-        # code propagate to the caller -- they are engine bugs, not a
-        # reason to silently recompute in-process.
-        from repro.engine import resilience
-
-        try:
-            executor = pool.get_pool()
-        except (OSError, PermissionError):
-            # Workers cannot be spawned at all on this host.
-            pool.discard()
-            pool.LAST_DECISION.update(use_pool=False, reason="pool-spawn-failed")
-            executor = None
-        if executor is not None:
-            ref = _publish_shard_set(config, payloads)
-            try:
-                if ref is not None:
-                    items = [(ref, index) for index in range(len(payloads))]
-                    worker_fn = _cold_shard_payload
-                    transport = "shm"
-                else:
-                    # Small stream or no shared memory: each worker call
-                    # carries its own shard's arrays (and nothing else).
-                    items = [(payload,) for payload in payloads]
-                    worker_fn = _cold_shard
-                    transport = "inline"
-                try:
-                    results = resilience.supervised_map(
-                        executor, worker_fn, items, label="run_sharded"
-                    )
-                except resilience.PoolDispatchError as error:
-                    # Terminal infrastructure failure: keep every shard
-                    # that completed, solve only the lost ones here
-                    # (bit-identical either way -- shards are
-                    # deterministic).
-                    results = error.results
-                    for index in error.pending:
-                        results[index] = _cold_shard(payloads[index])
-                    resilience.mark_degraded("in-process-salvage")
-                    pool.LAST_DECISION.update(reason="pool-dispatch-degraded")
-                pool.LAST_DECISION.update(payload=transport)
-            finally:
-                # Every worker that needed the bytes has copied them out
-                # (dispatch resolved above); on failure the segment must
-                # not leak either.
-                if ref is not None:
-                    pool.release_payload(ref)
-    if results is None:
-        results = [_cold_shard(payload) for payload in payloads]
-
-    tag_table, steer_table = _latency_tables(lengths)
-    decode_caches = _decode_tables(len(tag_table))
-    if _np is not None:
-        span_max = int(
-            (_np.asarray(last_lines) - _np.asarray(first_lines)).max()
-        )
-    else:
-        span_max = max(l - f for l, f in zip(last_lines, first_lines))
-    window_lines = config.prefetch_depth + span_max + 2
-
-    out_avail: List[float] = []
-    out_tags: List[float] = []
-    line_consumed: Dict[int, float] = {}
-    line_arrival: Dict[int, float] = {}
-    previous_tag_time = _NEG_INF
-    previous_length = 0
-    for (start, stop), base, cold in zip(pairs, bases, results):
-        if start == 0:
-            cold_avail, cold_tags, cold_consumed, cold_arrival = cold
-            out_avail.extend(cold_avail)
-            out_tags.extend(cold_tags)
-            for index, done in enumerate(cold_consumed):
-                if done == done:
-                    line_consumed[index] = done
-            for index, arrival in enumerate(cold_arrival):
-                if arrival == arrival:
-                    line_arrival[index] = arrival
-            previous_tag_time = cold_tags[-1]
-            previous_length = lengths[stop - 1]
-            continue
-        previous_tag_time, previous_length = _stitch_shard(
-            config,
-            lengths,
-            classes,
-            first_lines,
-            last_lines,
-            tag_table,
-            decode_caches,
-            start,
-            stop,
-            base,
-            cold,
-            _offset_exact(cold),
-            window_lines,
-            span_max,
-            line_consumed,
-            line_arrival,
-            previous_tag_time,
-            previous_length,
-            out_avail,
-            out_tags,
-        )
-
-    issue_times, row_issues, _buffer_free, _next_row = _steer(
-        out_tags,
-        lengths,
-        steer_table,
-        config.rows,
-        config.output_buffer_cycle_ps,
-    )
-    return _finalize(
-        config,
-        lengths,
-        out_avail,
-        out_tags,
-        issue_times,
-        row_issues,
-        list(line_consumed.values()),
-        len(instructions),
-        len(lines),
-    )
+    return avail_times, tag_times, line_consumed

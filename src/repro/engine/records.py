@@ -6,8 +6,8 @@ records -- :data:`repro.engine.pool.LAST_DECISION`,
 call fills in and callers (tests, benchmarks, the service trace layer)
 read back immediately afterwards.  As plain dicts those records race the
 moment two requests run concurrently: the decode service executes engine
-calls on executor threads, so request A's ``run_sharded`` decision could
-be overwritten by request B's before A's trace collector reads it.
+calls on executor threads, so request A's pool decision could be
+overwritten by request B's before A's trace collector reads it.
 
 :class:`ScopedRecord` keeps the module-global *name* and the mutable
 mapping interface, but stores the contents in a

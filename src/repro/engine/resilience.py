@@ -1,13 +1,12 @@
 """Resilient dispatch over the persistent worker pool.
 
-Before this layer, both pool consumers (``run_sharded``'s cold-shard
-fan-out and ``FaultSimEngine``'s fault-chunk round-robin) dispatched
-futures bare: one crashed worker threw away *every* shard's results and
-silently re-ran the whole campaign in-process, a hung worker blocked
-``future.result()`` forever, and a broad ``except RuntimeError`` could
-not tell an infrastructure failure from a genuine engine bug raised
-inside a worker.  :func:`supervised_map` is the shared primitive that
-fixes all three:
+Before this layer, pool dispatch (``FaultSimEngine``'s fault-chunk
+round-robin) sent futures bare: one crashed worker threw away *every*
+shard's results and silently re-ran the whole campaign in-process, a
+hung worker blocked ``future.result()`` forever, and a broad ``except
+RuntimeError`` could not tell an infrastructure failure from a genuine
+engine bug raised inside a worker.  :func:`supervised_map` is the
+shared primitive that fixes all three:
 
 * **Per-task deadlines.**  Every ``future.result`` waits at most
   ``deadline_s`` seconds; a hung or straggling worker turns into a

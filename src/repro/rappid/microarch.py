@@ -182,47 +182,6 @@ class RappidDecoder:
             )
         return RappidResult(config=self.config, **fields)
 
-    def run_sharded(
-        self,
-        instructions: Sequence[Instruction],
-        lines: Sequence[CacheLine],
-        shards: int = 2,
-        min_shard_instructions: int = 1_024,
-        use_processes: Optional[bool] = None,
-    ) -> RappidResult:
-        """Exact evaluation of a very large stream across worker processes.
-
-        Line-aligned shards are solved in parallel from cold seam states
-        on compact flat arrays, then stitched onto the true warm
-        trajectory by an exact seam fix-up (see
-        :mod:`repro.engine.rappid_batch`): every measurement field is
-        **bit-identical** to :meth:`run`, including ``energy_pj`` (both
-        accumulate the same closed-form sum, which may differ from
-        :meth:`_reference_run` in the last ulp).  Streams shorter than
-        ``min_shard_instructions`` per shard are evaluated directly.
-        ``use_processes``: ``None`` (default) applies the persistent-pool
-        policy of :func:`repro.engine.pool.decide` (in-process on
-        single-CPU hosts and below the calibrated per-shard threshold,
-        otherwise the process-global worker pool, reused across calls);
-        ``True``/``False`` force the pool / the in-process protocol --
-        results are identical on every path.
-        """
-        from repro.engine.rappid_batch import run_sharded
-
-        fields = run_sharded(
-            self.config,
-            instructions,
-            lines,
-            shards=shards,
-            min_shard_instructions=min_shard_instructions,
-            use_processes=use_processes,
-        )
-        if fields is None:
-            return RappidResult(
-                config=self.config, instruction_count=0, line_count=0, total_time_ps=0.0
-            )
-        return RappidResult(config=self.config, **fields)
-
     def _reference_run(self, instructions: Sequence[Instruction], lines: Sequence[CacheLine]) -> RappidResult:
         """Pre-engine per-instruction loop, kept as the differential oracle."""
         from repro.engine.rappid_batch import _validate_config

@@ -19,7 +19,7 @@ Each handler module exposes the same four-name surface:
 
 Every handler routes its pool dispatch through the engine entry points
 built on :func:`repro.engine.resilience.supervised_map` --
-``run_sharded``, ``stuck_at_coverage``/``simulate_faults``, ``explore``
+``stuck_at_coverage``/``simulate_faults`` and ``explore``
 -- never through a raw executor.  ``scripts/lint_contracts.py``
 (``handler-unsupervised-dispatch``) enforces this mechanically for
 every module in this package.

@@ -1,13 +1,11 @@
 """``decode`` capability: RAPPID instruction-stream decoding.
 
-Wraps :class:`repro.rappid.microarch.RappidDecoder` -- the monolithic
-:meth:`~repro.rappid.microarch.RappidDecoder.run` for small streams and
-the exact sharded :meth:`~repro.rappid.microarch.RappidDecoder.run_sharded`
-(whose cold-shard fan-out rides :func:`repro.engine.resilience.supervised_map`
-over the persistent pool) when the request asks for shards.  The
-workload itself is generated server-side from the request's seed, so a
-request is a few hundred bytes no matter how many instructions it
-decodes.
+Wraps :meth:`repro.rappid.microarch.RappidDecoder.run`, an in-process
+engine call.  The workload itself is generated server-side from the
+request's seed, so a request is a few hundred bytes no matter how many
+instructions it decodes.  Requests may carry only ``seed``,
+``instructions``, ``config`` and ``stream_chunk``; any other key is
+rejected at admission, so a client never has a knob silently ignored.
 
 The result payload carries the run's exact scalar measurements plus
 SHA-256 signatures over the full issue-time and latency trajectories
@@ -36,6 +34,9 @@ COST_UNIT_INSTRUCTIONS = 10_000.0
 
 _CONFIG_FIELDS = frozenset(RappidConfig.__dataclass_fields__)
 
+#: Every request parameter the capability understands.
+_PARAMS = ("seed", "instructions", "config", "stream_chunk")
+
 
 def trajectory_signature(values: Sequence[float]) -> str:
     """SHA-256 over the exact float64 stream (order-sensitive)."""
@@ -52,13 +53,20 @@ def _canonical(params: Dict[str, Any], keys: Sequence[str]) -> str:
 
 
 def batch_key(params: Dict[str, Any]) -> str:
-    """Coalesce decode requests sharing a config and shard policy.
+    """Coalesce decode requests sharing a config.
 
     The workload (seed, instruction count) is excluded on purpose:
-    streams differing only in content ride one batch and share the warm
-    pool; the config and shard policy determine the engine path taken.
+    streams differing only in content ride one batch; the config alone
+    determines the engine path taken.  Admission calls this first, so an
+    unknown parameter is rejected here, before the request is queued.
     """
-    return _canonical(params, ("config", "shards", "use_processes"))
+    unknown = set(params) - set(_PARAMS)
+    if unknown:
+        raise ValueError(
+            f"unknown decode params {sorted(unknown)}; expected a subset of "
+            f"{list(_PARAMS)}"
+        )
+    return _canonical(params, ("config",))
 
 
 def cost(params: Dict[str, Any]) -> float:
@@ -95,24 +103,9 @@ def run(
     count = int(params.get("instructions", 2_000))
     if count < 1:
         raise ValueError("instructions must be at least 1")
-    shards = int(params.get("shards", 0))
-    use_processes = params.get("use_processes")
 
     instructions, lines = _workload(seed, count, config.line_bytes)
-    decoder = RappidDecoder(config)
-    if shards > 1:
-        # Exact sharded path: supervised pool dispatch inside.
-        result = decoder.run_sharded(
-            list(instructions),
-            list(lines),
-            shards=shards,
-            min_shard_instructions=int(
-                params.get("min_shard_instructions", 1_024)
-            ),
-            use_processes=use_processes,
-        )
-    else:
-        result = decoder.run(list(instructions), list(lines))
+    result = RappidDecoder(config).run(list(instructions), list(lines))
 
     chunk = int(params.get("stream_chunk", 0))
     if chunk > 0:

@@ -82,8 +82,8 @@ def stuck_at_coverage(
       reference loop, so jittered coverage percentages are exact, not
       sampled approximations of a different estimator.
     * ``shards`` / ``use_processes`` -- worker-pool knobs for large
-      campaigns, mirroring ``RappidDecoder.run_sharded`` (auto mode
-      keeps small campaigns and single-CPU hosts in-process).
+      campaigns (auto mode keeps small campaigns and single-CPU hosts
+      in-process; see :func:`repro.engine.pool.decide`).
     * ``collapse`` -- consult the static fault-collapsing analysis
       before sweeping (the default); verdicts and coverage are
       bit-identical either way, the knob only trades static analysis

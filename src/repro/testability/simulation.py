@@ -138,8 +138,8 @@ def simulate_faults(
         ``HandshakeEnvironment(rules, jitter=environment_jitter,
         seed=seed)``.
     shards, use_processes:
-        Worker-pool knobs, mirroring ``RappidDecoder.run_sharded``: auto
-        mode keeps small campaigns and single-CPU hosts in-process.
+        Worker-pool knobs: auto mode keeps small campaigns and
+        single-CPU hosts in-process (see :func:`repro.engine.pool.decide`).
     collapse:
         Consult the static fault-collapsing analysis
         (:mod:`repro.analysis.collapse`) before sweeping: statically

@@ -196,27 +196,6 @@ class TestCampaignIdentityUnderInjection:
         assert resilience.LAST_HEALTH["outcome"] == "ok"
 
 
-class TestRunShardedUnderInjection:
-    def test_worker_kill_keeps_decode_bit_identical(self, fresh_pool):
-        generator = WorkloadGenerator(seed=4)
-        instructions, lines = generator.workload(4_000)
-        decoder = RappidDecoder()
-        exact = decoder.run(instructions, lines)
-        with chaos.active(ChaosPlan(seed=8, worker_kill=1)):
-            sharded = decoder.run_sharded(
-                instructions, lines, shards=2, min_shard_instructions=64,
-                use_processes=True,
-            )
-        assert sharded.issue_times_ps == exact.issue_times_ps
-        assert sharded.total_time_ps == exact.total_time_ps
-        assert sharded.energy_pj == exact.energy_pj
-        health = resilience.LAST_HEALTH
-        assert health["label"] == "run_sharded"
-        assert health["outcome"] == "ok"
-        assert health["respawns"] >= 1
-        assert pool.LAST_DECISION["use_pool"] is True
-
-
 class TestServiceUnderInjection:
     """Service-level chaos: the asyncio front end under injected faults.
 
@@ -280,13 +259,12 @@ class TestServiceUnderInjection:
         import asyncio
 
         from repro.service import DecodeService, ServiceClient, ServiceConfig
-        from repro.service.handlers import decode as decode_handler
+        from repro.service.handlers import coverage as coverage_handler
 
         params = {
-            "seed": 4,
-            "instructions": 4_000,
+            "circuit": "fifo_rt",
+            "duration_ps": 10_000.0,
             "shards": 2,
-            "min_shard_instructions": 64,
             "use_processes": True,
         }
 
@@ -296,7 +274,7 @@ class TestServiceUnderInjection:
             try:
                 client = await ServiceClient.connect(host, port)
                 try:
-                    return await client.request("decode", dict(params))
+                    return await client.request("coverage", dict(params))
                 finally:
                     await client.close()
             finally:
@@ -305,14 +283,14 @@ class TestServiceUnderInjection:
         with chaos.active(ChaosPlan(seed=14, worker_kill=1)):
             disturbed = asyncio.run(scenario())
 
-        generator = WorkloadGenerator(seed=4)
-        instructions, lines = generator.workload(4_000)
-        exact = RappidDecoder().run(instructions, lines)
-        assert disturbed.payload == decode_handler.payload_of(exact)
+        exact = coverage_handler.run(
+            dict(params, use_processes=False), lambda chunk: None
+        )
+        assert disturbed.payload == exact
         # The recovery story is in the trace's engine snapshot, taken on
         # the engine lane that absorbed the kill.
         health = disturbed.trace["engine"]["pool_health"]
-        assert health["label"] == "run_sharded"
+        assert health["label"] == "fault-campaign"
         assert health["outcome"] == "ok"
         assert health["respawns"] >= 1
         assert health["injected"].get("worker-kill", 0) >= 1

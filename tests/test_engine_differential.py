@@ -1172,195 +1172,6 @@ class TestRappidDifferential:
         decoder = RappidDecoder()
         assert decoder.run([], []).instruction_count == 0
 
-    def test_sharded_run_is_exact_below_threshold(self):
-        """Tiny streams skip sharding entirely (identical results)."""
-        generator = WorkloadGenerator(seed=5)
-        instructions, lines = generator.workload(200)
-        decoder = RappidDecoder()
-        assert _rappid_signature(
-            decoder.run_sharded(instructions, lines, shards=8)
-        ) == _rappid_signature(decoder.run(instructions, lines))
-
-
-# ---------------------------------------------------------------------------
-# Exact shard protocol: run_sharded vs run, carry chaining, line geometry
-# ---------------------------------------------------------------------------
-
-
-class TestShardedBitIdentity:
-    """run_sharded must be bit-identical to run on every measurement field.
-
-    ``energy_pj`` is included with ``==``: both entry points accumulate
-    the very same closed-form sum (the documented ulp caveat only applies
-    against ``_reference_run``).
-    """
-
-    @pytest.mark.parametrize("shards", range(1, 9))
-    def test_shard_count_sweep(self, shards):
-        generator = WorkloadGenerator(seed=3)
-        instructions, lines = generator.workload(5_000)
-        decoder = RappidDecoder()
-        exact = decoder.run(instructions, lines)
-        sharded = decoder.run_sharded(
-            instructions,
-            lines,
-            shards=shards,
-            min_shard_instructions=64,
-            use_processes=False,
-        )
-        assert _rappid_signature(sharded) == _rappid_signature(exact)
-        assert sharded.energy_pj == exact.energy_pj
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_configs_match(self, seed):
-        """Seam states straddle lines mid-instruction for every geometry."""
-        rng = random.Random(seed * 4049 + 11)
-        config = RappidConfig(
-            rows=rng.randint(1, 6),
-            prefetch_depth=rng.randint(1, 4),
-        )
-        generator = WorkloadGenerator(seed=seed)
-        instructions, lines = generator.workload(rng.randint(2_500, 6_000))
-        decoder = RappidDecoder(config)
-        sharded = decoder.run_sharded(
-            instructions,
-            lines,
-            shards=rng.randint(2, 8),
-            min_shard_instructions=64,
-            use_processes=False,
-        )
-        exact = decoder.run(instructions, lines)
-        assert _rappid_signature(sharded) == _rappid_signature(exact)
-        assert sharded.energy_pj == exact.energy_pj
-
-    def test_fractional_cycle_takes_steer_fallback(self):
-        """Non-integer cycle time: sequential _steer, still bit-identical."""
-        config = RappidConfig(output_buffer_cycle_ps=380.25)
-        generator = WorkloadGenerator(seed=9)
-        instructions, lines = generator.workload(4_000)
-        decoder = RappidDecoder(config)
-        sharded = decoder.run_sharded(
-            instructions, lines, shards=3, min_shard_instructions=64,
-            use_processes=False,
-        )
-        assert _rappid_signature(sharded) == _rappid_signature(
-            decoder.run(instructions, lines)
-        )
-
-    def test_fractional_fetch_disables_adoption_but_stays_exact(self):
-        """Non-integer times fail the offset-exactness gate: the stitcher
-        falls back to full warm replay, which must still be bit-identical."""
-        config = RappidConfig(line_fetch_latency_ps=150.5)
-        generator = WorkloadGenerator(seed=13)
-        instructions, lines = generator.workload(4_000)
-        decoder = RappidDecoder(config)
-        sharded = decoder.run_sharded(
-            instructions, lines, shards=4, min_shard_instructions=64,
-            use_processes=False,
-        )
-        assert _rappid_signature(sharded) == _rappid_signature(
-            decoder.run(instructions, lines)
-        )
-
-    def test_worker_process_pool_matches_in_process(self):
-        """The multiprocessing path returns the same bits as in-process."""
-        generator = WorkloadGenerator(seed=4)
-        instructions, lines = generator.workload(4_000)
-        decoder = RappidDecoder()
-        pooled = decoder.run_sharded(
-            instructions, lines, shards=2, min_shard_instructions=64,
-            use_processes=True,
-        )
-        local = decoder.run_sharded(
-            instructions, lines, shards=2, min_shard_instructions=64,
-            use_processes=False,
-        )
-        assert _rappid_signature(pooled) == _rappid_signature(local)
-        assert _rappid_signature(pooled) == _rappid_signature(
-            decoder.run(instructions, lines)
-        )
-
-    @pytest.mark.parametrize("line_bytes", [8, 32])
-    def test_sharded_nondefault_line_geometry(self, line_bytes):
-        generator = WorkloadGenerator(seed=21, line_bytes=line_bytes)
-        instructions, lines = generator.workload(4_000)
-        decoder = RappidDecoder(RappidConfig(line_bytes=line_bytes))
-        sharded = decoder.run_sharded(
-            instructions, lines, shards=3, min_shard_instructions=64,
-            use_processes=False,
-        )
-        assert _rappid_signature(sharded) == _rappid_signature(
-            decoder.run(instructions, lines)
-        )
-
-
-class TestShardStateCarry:
-    """Chaining run_batched through ShardState carries is bit-exact."""
-
-    @pytest.mark.parametrize("cycle_ps", [380.0, 380.25])
-    def test_chained_carry_matches_monolithic(self, cycle_ps):
-        """Arbitrary (even mid-line) seams; integer and fractional steer."""
-        from repro.engine.rappid_batch import run_batched
-
-        config = RappidConfig(rows=3, output_buffer_cycle_ps=cycle_ps)
-        generator = WorkloadGenerator(seed=5)
-        instructions, lines = generator.workload(3_000)
-        full = run_batched(config, instructions, lines)
-        cuts = [0, 701, 1403, 2101, 3_000]
-        carry = None
-        issue_times = []
-        latencies = []
-        for a, b in zip(cuts, cuts[1:]):
-            part = run_batched(
-                config, instructions[a:b], lines, carry=carry, emit_carry=True
-            )
-            carry = part["carry_out"]
-            issue_times.extend(part["issue_times_ps"])
-            latencies.extend(part["instruction_latencies_ps"])
-        assert issue_times == full["issue_times_ps"]
-        assert latencies == full["instruction_latencies_ps"]
-
-    def test_chained_line_intervals_cover_only_this_call(self):
-        """A chained call reports line intervals for its own lines, not the
-        carried-in history."""
-        from repro.engine.rappid_batch import _intervals, run_batched
-
-        config = RappidConfig()
-        generator = WorkloadGenerator(seed=19)
-        instructions, lines = generator.workload(2_000)
-        full = run_batched(config, instructions, lines)
-        first = run_batched(config, instructions[:1_000], lines, emit_carry=True)
-        second = run_batched(
-            config,
-            instructions[1_000:],
-            lines,
-            carry=first["carry_out"],
-            emit_carry=True,
-        )
-        own_lines = {i.start_byte // config.line_bytes for i in instructions[1_000:]}
-        consumed = second["carry_out"].line_consumed
-        expected = _intervals(sorted(consumed[line] for line in own_lines))
-        assert second["line_intervals_ps"] == expected
-        # The whole-history leak would have reproduced the full run's list.
-        assert len(second["line_intervals_ps"]) < len(full["line_intervals_ps"])
-
-    def test_carry_out_reports_seam_state(self):
-        from repro.engine.rappid_batch import ShardState, run_batched
-
-        config = RappidConfig()
-        generator = WorkloadGenerator(seed=2)
-        instructions, lines = generator.workload(500)
-        fields = run_batched(config, instructions, lines, emit_carry=True)
-        carry = fields["carry_out"]
-        assert isinstance(carry, ShardState)
-        assert carry.prev_length == instructions[-1].length
-        assert carry.next_row == len(instructions) % config.rows
-        assert len(carry.buffer_free) == config.rows
-        assert carry.tag_time <= fields["total_time_ps"]
-        # The carried line state covers the stream's last consumed line.
-        last_line = max(carry.line_consumed)
-        assert carry.line_consumed[last_line] == carry.tag_time
-
 
 class TestLineGeometryDifferential:
     """line_bytes other than 16 must agree between engine and reference."""
@@ -1409,7 +1220,6 @@ class TestPrefetchDepthValidation:
         messages = set()
         for runner in (
             lambda: decoder.run(instructions, lines),
-            lambda: decoder.run_sharded(instructions, lines),
             lambda: decoder._reference_run(instructions, lines),
         ):
             with pytest.raises(ValueError) as excinfo:

@@ -365,10 +365,10 @@ class TestHandlerDispatchRule:
         write(
             src / "service" / "handlers" / "good.py",
             """\
-            from repro.rappid.microarch import RappidDecoder
+            from repro.testability import stuck_at_coverage
 
             def run(params, emit):
-                return RappidDecoder().run_sharded([], [], shards=2)
+                return stuck_at_coverage(None, [], shards=2)
             """,
         )
         write(

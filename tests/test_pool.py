@@ -10,8 +10,6 @@ import time
 import pytest
 
 from repro.engine import pool
-from repro.rappid.microarch import RappidDecoder
-from repro.rappid.workload import WorkloadGenerator
 
 
 @pytest.fixture
@@ -46,102 +44,53 @@ class TestPersistentPool:
         assert second is not first
         pool.shutdown()
 
-    def test_repeated_run_sharded_reuses_workers(self, fresh_pool):
+    def test_repeated_campaign_reuses_workers(self, fresh_pool, fifo_rt):
         """Second call spawns no new processes (worker-pid probe)."""
-        generator = WorkloadGenerator(seed=4)
-        instructions, lines = generator.workload(4_000)
-        decoder = RappidDecoder()
-
-        first = decoder.run_sharded(
-            instructions, lines, shards=2, min_shard_instructions=64,
-            use_processes=True,
+        from repro.circuit.analysis import fifo_environment_rules
+        from repro.testability.simulation import (
+            campaign_signature,
+            simulate_faults,
         )
+
+        def campaign():
+            return simulate_faults(
+                fifo_rt.netlist, fifo_environment_rules(), [("li", 1, 50.0)],
+                duration_ps=10_000.0, shards=2, use_processes=True,
+            )
+
+        first = campaign()
         executor = pool.get_pool()
         pids_after_first = pool.worker_pids()
         assert pids_after_first, "forced pool run must have spawned workers"
 
-        second = decoder.run_sharded(
-            instructions, lines, shards=2, min_shard_instructions=64,
-            use_processes=True,
-        )
+        second = campaign()
         assert pool.get_pool() is executor
         assert pool.worker_pids() == pids_after_first
-        assert first.issue_times_ps == second.issue_times_ps
-        assert first.total_time_ps == second.total_time_ps
+        assert campaign_signature(first) == campaign_signature(second)
 
 
 class TestPoolDecision:
     def test_forced_modes_bypass_policy(self):
-        assert pool.decide(1_000_000, 4, forced=True) == (True, "forced-pool")
-        assert pool.decide(1_000_000, 4, forced=False) == (False, "forced-in-process")
+        assert pool.decide(1_000_000, 4, 8, forced=True) == (True, "forced-pool")
+        assert pool.decide(1_000_000, 4, 8, forced=False) == (
+            False,
+            "forced-in-process",
+        )
 
     def test_single_cpu_stays_in_process(self, monkeypatch):
         monkeypatch.setattr(pool, "worker_count", lambda: 1)
-        use_pool, reason = pool.decide(10_000_000, 4)
+        use_pool, reason = pool.decide(10_000_000, 4, 8)
         assert not use_pool and reason == "single-cpu"
         assert pool.LAST_DECISION["cpu_count"] == 1
 
-    def test_caller_floor_replaces_instruction_calibration(self, monkeypatch):
-        """Work units that are not RAPPID instructions (fault copies) pass
-        their own calibrated floor instead of the 2048-instruction one."""
-        monkeypatch.setattr(pool, "worker_count", lambda: 4)
-        # 40 faults over 4 shards: far below the instruction floor, but
-        # well above a per-shard floor of 8 fault copies.
-        assert pool.decide(40, 4) == (False, "below-threshold")
-        assert pool.decide(40, 4, floor=8) == (True, "pool")
-        # min_shard_instructions still raises the effective threshold.
-        assert pool.decide(40, 4, min_shard_instructions=64, floor=8) == (
-            False,
-            "below-threshold",
-        )
-
-
     def test_small_per_shard_work_stays_in_process(self, monkeypatch):
         monkeypatch.setattr(pool, "worker_count", lambda: 8)
-        small = pool.POOL_MIN_SHARD_INSTRUCTIONS * 4 - 4
-        use_pool, reason = pool.decide(small, 4)
+        floor = 8
+        small = floor * 4 - 4
+        use_pool, reason = pool.decide(small, 4, floor)
         assert not use_pool and reason == "below-threshold"
-        use_pool, reason = pool.decide(small + 4, 4)
+        use_pool, reason = pool.decide(small + 4, 4, floor)
         assert use_pool and reason == "pool"
-
-    def test_min_shard_instructions_raises_the_threshold(self, monkeypatch):
-        """The caller's knob takes effect above the calibrated floor."""
-        monkeypatch.setattr(pool, "worker_count", lambda: 8)
-        floor = pool.POOL_MIN_SHARD_INSTRUCTIONS
-        count = floor * 4 * 3  # 3x the floor per shard across 4 shards
-        assert pool.decide(count, 4) == (True, "pool")
-        assert pool.decide(count, 4, min_shard_instructions=floor * 4) == (
-            False,
-            "below-threshold",
-        )
-        # Below the floor the calibrated minimum still wins in auto mode.
-        assert pool.decide(floor * 4 - 4, 4, min_shard_instructions=1) == (
-            False,
-            "below-threshold",
-        )
-
-    def test_run_sharded_records_decision(self):
-        generator = WorkloadGenerator(seed=6)
-        instructions, lines = generator.workload(500)
-        RappidDecoder().run_sharded(instructions, lines, shards=4)
-        decision = pool.LAST_DECISION
-        assert decision["shards"] == 4
-        assert decision["cpu_count"] == pool.worker_count()
-        # 500 instructions never shard (below every threshold).
-        assert decision["use_pool"] is False
-
-    def test_auto_mode_on_this_host_never_regresses(self):
-        """Auto mode on a single-CPU host delegates before packing shards."""
-        if pool.worker_count() > 1:
-            pytest.skip("multi-CPU host: auto mode legitimately uses the pool")
-        generator = WorkloadGenerator(seed=8)
-        instructions, lines = generator.workload(5_000)
-        decoder = RappidDecoder()
-        sharded = decoder.run_sharded(
-            instructions, lines, shards=4, min_shard_instructions=64
-        )
-        assert pool.LAST_DECISION["reason"] == "single-cpu"
-        assert sharded.issue_times_ps == decoder.run(instructions, lines).issue_times_ps
 
 
 class TestSharedMemoryPayloads:
@@ -459,59 +408,15 @@ def _pid_alive(pid):
     return True
 
 
-class TestRunShardedPayloadRoute:
-    """run_sharded's per-call shard arrays ride the payload path: one
-    publish per call, (handle, shard index) per worker call, and the
-    transport taken recorded as ``payload`` in LAST_DECISION."""
-
-    def _identity(self, decoder, instructions, lines, **kwargs):
-        sharded = decoder.run_sharded(
-            instructions, lines, min_shard_instructions=64,
-            use_processes=True, **kwargs,
-        )
-        exact = decoder.run(instructions, lines)
-        assert sharded.issue_times_ps == exact.issue_times_ps
-        assert sharded.total_time_ps == exact.total_time_ps
-        assert sharded.energy_pj == exact.energy_pj
-
-    def test_payload_route_records_decision(self, fresh_pool):
-        generator = WorkloadGenerator(seed=4)
-        instructions, lines = generator.workload(4_000)
-        self._identity(RappidDecoder(), instructions, lines, shards=2)
-        decision = pool.LAST_DECISION
-        assert decision["use_pool"] is True
-        assert decision["payload"] in ("shm", "inline")
-
-    def test_large_stream_publishes_through_shared_memory(self, fresh_pool):
-        probe = pool.publish_payload(b"x", min_shm_bytes=0)
-        pool.release_payload(probe)
-        if probe.kind != "shm":  # pragma: no cover - no /dev/shm
-            pytest.skip("shared memory unavailable on this host")
-        generator = WorkloadGenerator(seed=4)
-        instructions, lines = generator.workload(50_000)  # ~1 MiB of arrays
-        self._identity(RappidDecoder(), instructions, lines, shards=3)
-        assert pool.LAST_DECISION["payload"] == "shm"
-
-    def test_inline_fallback_without_shm_stays_exact(self, fresh_pool, monkeypatch):
-        """Force the shm attempt (threshold 0) *and* make it fail: the
-        publish falls back inline and the sharded result is unchanged."""
-        import multiprocessing.shared_memory as shared_memory
-
-        def unavailable(*args, **kwargs):
-            raise OSError("forced: shared memory unavailable")
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
-        monkeypatch.setattr(pool, "SHM_MIN_PAYLOAD_BYTES", 0)
-        generator = WorkloadGenerator(seed=6)
-        instructions, lines = generator.workload(4_000)
-        self._identity(RappidDecoder(), instructions, lines, shards=2)
-        assert pool.LAST_DECISION["payload"] == "inline"
+class TestFaultCampaignPayloadRoute:
+    """The fault-sim campaign payload falls back inline without shm."""
 
     def test_fault_campaign_inline_fallback_matches(
         self, fresh_pool, monkeypatch, fifo_rt
     ):
-        """The fault-sim engine's campaign payload takes the same inline
-        fallback; a forced-pool jittered campaign stays bit-identical."""
+        """Force the shm attempt (threshold 0) *and* make it fail: the
+        publish falls back inline and a forced-pool jittered campaign
+        stays bit-identical."""
         from repro.circuit.analysis import fifo_environment_rules
         from repro.testability.simulation import (
             campaign_signature,
@@ -560,7 +465,7 @@ class TestScopedRecords:
         def probe(label, shards):
             # Both threads write their own decision, rendezvous so the
             # writes demonstrably overlap, then read their own record.
-            pool.decide(10_000, shards, forced=True)
+            pool.decide(10_000, shards, 8, forced=True)
             barrier.wait(timeout=10)
             results[label] = (pool.LAST_DECISION["shards"], shards)
 

@@ -293,59 +293,3 @@ class TestMarkingEncodingRoundTrip:
             codec.encode_bits(Marking({"p": 2}))
         with pytest.raises(EncodingError):
             codec.encode(Marking({"not_a_place": 1}))
-
-
-class TestShardProtocolProperties:
-    """run_sharded is a pure, deterministic, shard-count-invariant function."""
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_shard_count_invariance(self, seed):
-        from repro.rappid.microarch import RappidConfig, RappidDecoder
-        from repro.rappid.workload import WorkloadGenerator
-
-        rng = random.Random(seed * 6007 + 3)
-        decoder = RappidDecoder(
-            RappidConfig(rows=rng.randint(1, 5), prefetch_depth=rng.randint(1, 3))
-        )
-        generator = WorkloadGenerator(seed=seed)
-        instructions, lines = generator.workload(rng.randint(1_500, 3_000))
-
-        def signature(result):
-            return (
-                result.total_time_ps,
-                result.issue_times_ps,
-                result.instruction_latencies_ps,
-                result.tag_intervals_ps,
-                result.line_intervals_ps,
-                result.steer_intervals_ps,
-                result.energy_pj,
-            )
-
-        baseline = signature(decoder.run(instructions, lines))
-        for shards in (1, rng.randint(2, 4), rng.randint(5, 8)):
-            sharded = decoder.run_sharded(
-                instructions,
-                lines,
-                shards=shards,
-                min_shard_instructions=32,
-                use_processes=False,
-            )
-            assert signature(sharded) == baseline
-
-    def test_sharded_is_deterministic(self):
-        from repro.rappid.microarch import RappidDecoder
-        from repro.rappid.workload import WorkloadGenerator
-
-        generator = WorkloadGenerator(seed=17)
-        instructions, lines = generator.workload(2_500)
-        decoder = RappidDecoder()
-        first = decoder.run_sharded(
-            instructions, lines, shards=3, min_shard_instructions=32,
-            use_processes=False,
-        )
-        second = decoder.run_sharded(
-            instructions, lines, shards=3, min_shard_instructions=32,
-            use_processes=False,
-        )
-        assert first.issue_times_ps == second.issue_times_ps
-        assert first.energy_pj == second.energy_pj

@@ -34,6 +34,7 @@ from repro.service import (
     BackpressureRejected,
     DecodeService,
     RequestCancelled,
+    RequestFailed,
     ServiceClient,
     ServiceConfig,
 )
@@ -162,6 +163,36 @@ class TestBitIdentity:
         assert reach.payload == reachability_handler.payload_of(
             graph, "fifo", "deadlocks"
         )
+
+
+class TestDecodeParams:
+    def test_unknown_key_is_an_error_and_the_session_lives_on(self):
+        """A stale ``shards`` knob is refused at admission, not ignored."""
+
+        async def scenario():
+            service = DecodeService(ServiceConfig())
+            host, port = await service.start()
+            try:
+                client = await ServiceClient.connect(host, port)
+                try:
+                    with pytest.raises(RequestFailed) as failed:
+                        await client.request(
+                            "decode",
+                            {"seed": 11, "instructions": 500, "shards": 2},
+                        )
+                    after = await client.request(
+                        "decode", {"seed": 11, "instructions": 500}
+                    )
+                    return failed.value, after
+                finally:
+                    await client.close()
+            finally:
+                await service.shutdown()
+
+        failure, after = asyncio.run(scenario())
+        assert "shards" in str(failure)
+        assert "admission" not in failure.trace
+        assert after.payload == direct_decode_payload(11, 500)[0]
 
 
 class TestDeterministicInterleaving:
