@@ -54,6 +54,17 @@ contract.  This lint makes them mechanical:
     references none of those entry points has smuggled its engine
     access in through some unvetted side door.
 
+``gate-dispatch-single-owner``
+    Gate evaluation has one owner: ``engine/simkernel.py`` holds the one
+    evaluator (``eval_gate``) and the one drain with its arity-specialised
+    rows, and ``engine/events.py`` defines and compiles the opcodes.  Any
+    other engine module comparing against a gate opcode (``OP_TABLE``,
+    ``OP_CONST``, ``OP_CALL``, ``OP_WIDE_*``, ``_OP_TABLEn``) is growing a
+    second dispatch copy that the differential suite pins only by
+    accident; it must call ``eval_gate`` or run ``drain`` instead.  Static
+    analyses outside the engine (``repro.analysis``) read opcodes to
+    reason about gates without simulating them and are not scanned.
+
 Diagnostics are ``file:line: rule: message`` lines on stdout; the exit
 status is the number of findings (0 = clean).  Run by ``scripts/check.sh``
 and CI; ``tests/test_lint_contracts.py`` pins both rules on injected
@@ -64,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import List, NamedTuple
@@ -372,12 +384,62 @@ def check_handler_dispatch(handlers_root: Path) -> List[Finding]:
     return findings
 
 
+# Gate opcodes: the compiler's (events.py) and the drain's private
+# arity-specialised table rows (simkernel.py), their two owners.
+_OPCODE = re.compile(r"(OP_TABLE|OP_CONST|OP_CALL|OP_WIDE_\w+|_OP_TABLE\d+)")
+_DISPATCH_OWNERS = {"events.py", "simkernel.py"}
+
+
+def _opcode_names(node: ast.AST) -> List[str]:
+    """Gate-opcode names (bare or dotted) anywhere inside ``node``."""
+    names = []
+    for child in ast.walk(node):
+        name = (
+            child.id
+            if isinstance(child, ast.Name)
+            else child.attr if isinstance(child, ast.Attribute) else None
+        )
+        if name is not None and _OPCODE.fullmatch(name):
+            names.append(name)
+    return names
+
+
+def check_gate_dispatch(engine_root: Path) -> List[Finding]:
+    """``gate-dispatch-single-owner``: opcode comparisons outside the owners."""
+    findings: List[Finding] = []
+    for path in sorted(engine_root.rglob("*.py")):
+        if path.relative_to(engine_root).as_posix() in _DISPATCH_OWNERS:
+            continue
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Compare):
+                continue
+            names = [
+                name
+                for operand in (node.left, *node.comparators)
+                for name in _opcode_names(operand)
+            ]
+            if names:
+                findings.append(
+                    Finding(
+                        path,
+                        node.lineno,
+                        "gate-dispatch-single-owner",
+                        f"comparison against {', '.join(names)} outside "
+                        "engine/events.py and engine/simkernel.py grows a "
+                        "second gate dispatch; call simkernel.eval_gate or "
+                        "run simkernel.drain instead",
+                    )
+                )
+    return findings
+
+
 def run(src_root: Path, engine_root: Path, differential_test: Path) -> List[Finding]:
     findings = check_oracle_references(src_root, differential_test)
     findings.extend(
         check_reduction_references(src_root / "petrinet", differential_test)
     )
     findings.extend(check_engine_rng(engine_root))
+    findings.extend(check_gate_dispatch(engine_root))
     findings.extend(check_dispatch_catches(src_root))
     findings.extend(
         check_handler_dispatch(src_root / "service" / "handlers")
@@ -394,7 +456,8 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--engine", type=Path, default=None,
-        help="engine package checked for unpinned RNG (default: <src>/engine)",
+        help="engine package checked for unpinned RNG and gate dispatch "
+        "(default: <src>/engine)",
     )
     parser.add_argument(
         "--differential-test", type=Path,

@@ -8,9 +8,10 @@ observable sink (the skeleton classic fault collapsing hangs
 equivalence classes on).  It reads only the ``"topology"`` aspect, so
 cached results survive ``set_initial_value`` mutations.
 
-The ``"packed-fanout"`` pass caches the fault-simulation drain loop's
-per-net packed fanout tuples on a :class:`~repro.engine.events.CompiledNetlist`
-(identity-keyed -- compiled views are immutable), so every
+The ``"packed-fanout"`` pass caches the per-net packed fanout tuples of
+the engine's one scalar drain (:func:`repro.engine.simkernel.drain`) on a
+:class:`~repro.engine.events.CompiledNetlist` (identity-keyed --
+compiled views are immutable), so every
 :class:`~repro.engine.faultsim._FaultSweep` over one compiled object
 shares a single packing instead of rebuilding it per engine.
 """
@@ -185,17 +186,18 @@ class PackedFanoutAnalysis(AnalysisPass):
     """Fault-free packed fanout tables for a ``CompiledNetlist``.
 
     Identity-keyed on the compiled object (no fingerprint aspects): the
-    result is the drain loop's per-net ``(gate, op, row, inputs, output,
-    delay)`` tuple list, built by the engine's own packer so the two
-    can never drift.
+    result is the scalar drain's per-net ``(gate, op, row, inputs,
+    output, delay)`` tuple list, built by the kernel's own packer so the
+    two can never drift.
     """
 
     name = "packed-fanout"
     aspects = ()
 
     def run(self, subject: Any, deps: Dict[str, Any], **params: Any) -> List[Tuple]:
-        # Imported lazily: repro.engine.faultsim imports repro.analysis
-        # at module level, so the reverse edge must bind at run time.
-        from repro.engine.faultsim import pack_fanout_tables
+        # Imported lazily: the repro.engine package imports
+        # repro.analysis (through faultsim) at module level, so the
+        # reverse edge must bind at run time.
+        from repro.engine.simkernel import pack_fanout_tables
 
         return pack_fanout_tables(subject)

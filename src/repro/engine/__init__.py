@@ -48,9 +48,10 @@ When delegation kicks in
   (:class:`~repro.engine.events.CompiledNetlist`): net names become array
   slots, the per-event ``fanout_of`` scan over every gate becomes a
   precomputed adjacency list, and every gate becomes an integer opcode
-  plus a packed truth-table/threshold row.  The event loop itself runs in
-  :class:`~repro.engine.simkernel.SimKernel`: same-timestamp events drain
-  as one delta-cycle batch through the time-bucketed
+  plus a packed truth-table/threshold row.  The event loop itself is the
+  engine's one scalar drain (:func:`~repro.engine.simkernel.drain`), run
+  by :class:`~repro.engine.simkernel.SimKernel`: same-timestamp events
+  drain as one delta-cycle batch through the time-bucketed
   :class:`~repro.engine.events.BatchEventQueue`, dedup happens over flat
   integer arrays, and transitions are recorded into per-net columns that
   materialise ``Waveform`` objects lazily
@@ -60,9 +61,10 @@ When delegation kicks in
   :class:`~repro.engine.faultsim.FaultSimEngine`: the netlist compiles
   once, stuck-at faults become ``OP_CONST`` overlays on the compiled
   tables (:meth:`~repro.engine.events.CompiledNetlist.stuck_at_overlay`),
-  and the golden run plus every fault copy sweep through one packed
-  multi-copy kernel pass (detected copies drop out of observable
-  bookkeeping the moment they diverge).  Large campaigns shard over the
+  one leader pass carries every fault copy in lockstep, and each copy
+  that deviates finishes in the same scalar drain the simulator uses
+  (detected copies drop out of observable bookkeeping the moment they
+  diverge).  Large campaigns shard over the
   persistent pool, with the compiled tables published once per campaign
   through the shared-memory payload path
   (:func:`~repro.engine.pool.publish_payload`).  The per-fault

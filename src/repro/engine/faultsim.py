@@ -38,7 +38,10 @@ behind the rewritten :func:`repro.testability.simulation.simulate_faults`:
   state, a cloned time-bucketed queue with the batch remainder pushed
   back, observable counts, the event count, and -- under jitter -- the
   leader's RNG states) is snapshotted and the copy finishes later in
-  the resumable scalar drain.  Copies still in lockstep at the end of
+  the resumable scalar drain -- the kernel's one event loop
+  (:func:`repro.engine.simkernel.drain`), which the leader pass, its
+  dry-runs and the golden run share through the kernel's one gate
+  evaluator and settle pass.  Copies still in lockstep at the end of
   the leader pass read their verdict straight off the override column.
   Extractions drain in **fault order** during verdict assembly, so
   exception propagation (``NetlistError``, uncompilable-gate errors)
@@ -59,7 +62,9 @@ behind the rewritten :func:`repro.testability.simulation.simulate_faults`:
   reports the oscillation error immediately, or retires as an
   observable difference without simulating the remaining cycles (at
   most one partial tail cycle runs when ``max_events`` lands inside
-  it).  The hunt samples every eighth delta-cycle batch: a periodic
+  it).  The hunt (:class:`_PeriodHunt`, which the drain visits only
+  for copies it is given golden counts for) samples every eighth
+  delta-cycle batch: a periodic
   orbit still repeats a sampled snapshot within a bounded number of
   periods (the measured repeat is then a whole multiple of the
   fundamental period, which extrapolates just as exactly), while
@@ -100,7 +105,7 @@ draw order, and therefore every coverage percentage -- are bit-identical
 to the retained ``_reference_simulate_faults`` loop;
 ``tests/test_engine_differential.py`` enforces this over the synthesized
 FIFO fixtures and seeded handshake pipelines for shard counts 1-4,
-pooled, shm-forced, and jittered.
+pooled, and jittered.
 """
 
 from __future__ import annotations
@@ -115,16 +120,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import analysis as _analysis
 from repro.engine import pool
 from repro.engine import resilience as _resilience
-from repro.engine.events import (
-    OP_CALL,
-    OP_CONST,
-    OP_TABLE,
-    OP_WIDE_AND,
-    OP_WIDE_NAND,
-    OP_WIDE_NOR,
-    OP_WIDE_OR,
-    BatchEventQueue,
-    CompiledNetlist,
+from repro.engine.events import BatchEventQueue, CompiledNetlist
+from repro.engine.simkernel import (
+    drain,
+    eval_gate,
+    oscillation_error,
+    pack_fanout_tables,
+    settle,
 )
 
 # Below this many faults per shard the payload/IPC overhead outweighs
@@ -142,18 +144,6 @@ _SWEEP_CACHE_MAX = 4
 _SWEEP_CACHE: Dict[str, "_FaultSweep"] = {}
 
 _NO_RULES: Tuple = ()
-
-# Arity-specialized OP_TABLE variants, private to the packed per-net
-# fanout representation the drain loop builds: table gates of arity 1-6
-# (every synthesized complex gate in practice) index their row with a
-# single unrolled expression instead of a per-input loop.  Never stored
-# in CompiledNetlist tables.
-_OP_TABLE1 = -1
-_OP_TABLE2 = -2
-_OP_TABLE3 = -3
-_OP_TABLE4 = -4
-_OP_TABLE5 = -5
-_OP_TABLE6 = -6
 
 # Cap on the number of (state, queue) snapshots kept while hunting for a
 # period in a diverged copy; aperiodic copies stop snapshotting past it
@@ -197,36 +187,6 @@ def _compile_rules(rules, net_index: Dict[str, int], num_nets: int):
     return table
 
 
-def _eval_gate(op, row, call, input_slots, state, vals):
-    """Evaluate one compiled gate row against a flat value plane.
-
-    Exactly the kernel's inline opcode dispatch, factored out for the
-    settle pass and the vectorised sweep's dry-run checks (the hot
-    drain loop keeps its inlined copy).
-    """
-    if op == OP_TABLE:
-        idx = state
-        for slot in input_slots:
-            idx += idx + vals[slot]
-        return (row >> idx) & 1
-    if op == OP_CONST:
-        return row
-    if op == OP_CALL:
-        return call([vals[slot] for slot in input_slots], state)
-    total = 0
-    for slot in input_slots:
-        total += vals[slot]
-    if op == OP_WIDE_AND:
-        return 1 if total == row else 0
-    if op == OP_WIDE_NAND:
-        return 0 if total == row else 1
-    if op == OP_WIDE_OR:
-        return 1 if total else 0
-    if op == OP_WIDE_NOR:
-        return 0 if total else 1
-    return total & 1
-
-
 class _FaultSweep:
     """Golden run plus a batch of fault copies over one compiled netlist.
 
@@ -256,8 +216,9 @@ class _FaultSweep:
         "last_processed",
         "rng_states",
         "golden_rng_state",
+        "limit",
         "_packed_base",
-        "_any_rule",
+        "_reacts",
     )
 
     def __init__(
@@ -293,8 +254,12 @@ class _FaultSweep:
         self.last_copy_rng = None
         self.last_processed = 0
         self.golden_events = golden_events
+        self.limit = float("inf") if duration_ps is None else duration_ps
         self._packed_base = None
-        self._any_rule = None
+        self._reacts = bytes(
+            1 if (rules_by[i + i] or rules_by[i + i + 1]) else 0
+            for i in range(len(compiled.net_names))
+        )
         self.rng_states: List[Optional[Tuple]] = []
         self.golden_rng_state = None
         # Every event time is a sum of stimulus times and gate/rule
@@ -356,7 +321,6 @@ class _FaultSweep:
             return []
         compiled = self.compiled
         num_nets = len(compiled.net_names)
-        num_gates = len(compiled.gate_op)
         gate_op = compiled.gate_op
         gate_row = compiled.gate_row
         gate_inputs = compiled.gate_inputs
@@ -419,7 +383,7 @@ class _FaultSweep:
             sim_uniform = sim_rng.uniform
             env_uniform = env_rng.uniform
         else:
-            sim_rng = env_rng = None
+            sim_rng = env_rng = sim_uniform = env_uniform = None
 
         # Leader planes: the golden trajectory's state.
         vals = bytearray(compiled.initial_values)
@@ -428,31 +392,35 @@ class _FaultSweep:
         queue = BatchEventQueue()
         counts = [0] * len(self.obs_slots)
 
-        # -- settle pass (leader + per-copy checks) -----------------------------------
+        # -- settle pass (leader), then per-copy checks ---------------------------
         # Settle evaluates every gate against the *initial* values and
-        # pushes where output != current value; gate state is not
-        # updated.  A copy's settle differs from the leader's only
+        # pushes where output != current value; it updates neither the
+        # value plane nor gate state, so the checks below see exactly
+        # what it saw.  A copy's settle differs from the leader's only
         # through its overrides: its driver gate is a constant equal to
         # the pinned initial (so it never pushes -- a leader push there
         # is a deviation), and gates reading the faulted net may
         # evaluate differently (a differing output is a differing push
-        # action, since binary outputs make exactly one side push).
+        # action, since binary outputs make exactly one side push).  No
+        # ov_pend hook is needed for settle pushes: a leader push to a
+        # live copy's faulted net means the gate is that copy's driver,
+        # which extracts the copy.
+        settle(
+            compiled, gate_op, gate_row, vals, pend, gstate, queue, 0.0,
+            jitter, sim_uniform,
+        )
         settle_deviators = 0
-        for g in range(num_gates):
-            out_l = _eval_gate(
+        for g in sorted(driver_mask.keys() | reads_mask.keys()):
+            out_l = eval_gate(
                 gate_op[g], gate_row[g], gate_call[g],
                 gate_inputs[g], gstate[g], vals,
             )
-            slot_g = gate_output[g]
-            l_push = out_l != vals[slot_g]
-            dmask = driver_mask.get(g, 0) & live
-            if dmask and l_push:
-                settle_deviators |= dmask
-                live &= ~dmask
-            rmask = reads_mask.get(g, 0) & live
-            while rmask:
-                bit = rmask & -rmask
-                rmask -= bit
+            if out_l != vals[gate_output[g]]:
+                settle_deviators |= driver_mask.get(g, 0)
+            mask = reads_mask.get(g, 0) & ~settle_deviators
+            while mask:
+                bit = mask & -mask
+                mask -= bit
                 c = bit.bit_length() - 1
                 f = fslot[c]
                 if ov_val[c] == vals[f]:
@@ -460,7 +428,7 @@ class _FaultSweep:
                 old = vals[f]
                 vals[f] = ov_val[c]
                 try:
-                    out_c = _eval_gate(
+                    out_c = eval_gate(
                         gate_op[g], gate_row[g], gate_call[g],
                         gate_inputs[g], gstate[g], vals,
                     )
@@ -469,22 +437,25 @@ class _FaultSweep:
                 vals[f] = old
                 if out_c != out_l:
                     settle_deviators |= bit
-                    live &= ~bit
-            if l_push:
-                if jitter <= 0:
-                    delay = gate_delay[g]
-                else:
-                    nominal = gate_delay[g]
-                    delay = sim_uniform(
-                        nominal * (1.0 - jitter), nominal * (1.0 + jitter)
-                    )
-                queue.push(delay, slot_g, out_l)
-                pend[slot_g] = out_l
-                # No ov_pend hook needed here: a leader push to a live
-                # copy's faulted net means g is that copy's driver, and
-                # the driver check above just extracted it.
-        for slot, value, time in self.stimuli:
-            queue.push(time, slot, value)
+        live &= ~settle_deviators
+
+        heap_times = queue._times
+        buckets = queue._buckets
+
+        def schedule(time: float, slot: int, value: int) -> None:
+            """Leader push; live copies faulted at ``slot`` share its pending value.
+
+            ``BatchEventQueue.push`` inlined: the leader pass is the hot
+            loop of small campaigns.
+            """
+            bucket = buckets.get(time)
+            if bucket is None:
+                heappush(heap_times, time)
+                buckets[time] = ([slot], [value])
+            else:
+                bucket[0].append(slot)
+                bucket[1].append(value)
+            queue._count += 1
             pend[slot] = value
             mask = con_mask[slot] & live
             while mask:
@@ -492,25 +463,22 @@ class _FaultSweep:
                 mask -= bit
                 ov_pend[bit.bit_length() - 1] = value
 
+        for slot, value, time in self.stimuli:
+            schedule(time, slot, value)
+
         # -- leader drain with lockstep riders ----------------------------------------
-        heap_times = queue._times
-        buckets = queue._buckets
-        qcount = queue._count
-        limit = float("inf") if self.duration_ps is None else self.duration_ps
+        limit = self.limit
         processed = 0
         extractions: Dict[int, Tuple] = {}
         # The leader replays the golden trajectory, which already ran to
         # completion under max_events when the golden signature was
         # recorded, so the leader needs no event-cap or period-hunt
         # bookkeeping of its own.
-        while qcount:
-            batch_time = heap_times[0]
-            if batch_time > limit:
-                break
+        while heap_times and heap_times[0] <= limit:
             batch_time = heappop(heap_times)
             batch_nets, batch_values = buckets.pop(batch_time)
-            qcount -= len(batch_nets)
             batch_size = len(batch_nets)
+            queue._count -= batch_size
             index = 0
             while index < batch_size:
                 net_slot = batch_nets[index]
@@ -539,7 +507,7 @@ class _FaultSweep:
                             ) & tmask & ~deviators
                             if not gmask:
                                 continue
-                            out_l = _eval_gate(
+                            out_l = eval_gate(
                                 gate_op[g], gate_row[g], gate_call[g],
                                 gate_inputs[g], gstate[g], vals,
                             )
@@ -572,7 +540,7 @@ class _FaultSweep:
                                 old = vals[f]
                                 vals[f] = ov_val[c]
                                 try:
-                                    out_c = _eval_gate(
+                                    out_c = eval_gate(
                                         gate_op[g], gate_row[g], gate_call[g],
                                         gate_inputs[g], gstate[g], vals,
                                     )
@@ -583,7 +551,6 @@ class _FaultSweep:
                                     deviators |= bit
                         vals[net_slot] = val_old
                     if deviators:
-                        queue._count = qcount
                         rem_nets = batch_nets[index:]
                         rem_values = batch_values[index:]
                         rng_pair = (
@@ -632,59 +599,20 @@ class _FaultSweep:
                     counts[obs_index] += 1
 
                 for gate_slot in fanout[net_slot]:
-                    op = gate_op[gate_slot]
-                    if op == OP_TABLE:
-                        idx = gstate[gate_slot]
-                        for slot in gate_inputs[gate_slot]:
-                            idx += idx + vals[slot]
-                        new_output = (gate_row[gate_slot] >> idx) & 1
-                    elif op == OP_CONST:
-                        new_output = gate_row[gate_slot]
-                    elif op == OP_CALL:
-                        new_output = gate_call[gate_slot](
-                            [vals[s] for s in gate_inputs[gate_slot]],
-                            gstate[gate_slot],
-                        )
-                    else:
-                        total = 0
-                        for slot in gate_inputs[gate_slot]:
-                            total += vals[slot]
-                        if op == OP_WIDE_AND:
-                            new_output = 1 if total == gate_row[gate_slot] else 0
-                        elif op == OP_WIDE_NAND:
-                            new_output = 0 if total == gate_row[gate_slot] else 1
-                        elif op == OP_WIDE_OR:
-                            new_output = 1 if total else 0
-                        elif op == OP_WIDE_NOR:
-                            new_output = 0 if total else 1
-                        else:
-                            new_output = total & 1
+                    new_output = eval_gate(
+                        gate_op[gate_slot], gate_row[gate_slot],
+                        gate_call[gate_slot], gate_inputs[gate_slot],
+                        gstate[gate_slot], vals,
+                    )
                     gstate[gate_slot] = new_output
                     output_slot = gate_output[gate_slot]
                     if new_output != pend[output_slot]:
-                        if jitter <= 0:
-                            delay = gate_delay[gate_slot]
-                        else:
-                            nominal = gate_delay[gate_slot]
+                        delay = gate_delay[gate_slot]
+                        if jitter > 0:
                             delay = sim_uniform(
-                                nominal * (1.0 - jitter),
-                                nominal * (1.0 + jitter),
+                                delay * (1.0 - jitter), delay * (1.0 + jitter)
                             )
-                        time = batch_time + delay
-                        bucket = buckets.get(time)
-                        if bucket is None:
-                            heappush(heap_times, time)
-                            buckets[time] = ([output_slot], [new_output])
-                        else:
-                            bucket[0].append(output_slot)
-                            bucket[1].append(new_output)
-                        qcount += 1
-                        pend[output_slot] = new_output
-                        mask = con_mask[output_slot] & live
-                        while mask:
-                            bit = mask & -mask
-                            mask -= bit
-                            ov_pend[bit.bit_length() - 1] = new_output
+                        schedule(batch_time + delay, output_slot, new_output)
 
                 for tslot, tvalue, delay, tname in rules_by[
                     net_slot + net_slot + value
@@ -701,37 +629,15 @@ class _FaultSweep:
                         from repro.circuit.netlist import NetlistError
 
                         raise NetlistError(f"unknown net {tname!r}")
-                    time = batch_time + delay
-                    bucket = buckets.get(time)
-                    if bucket is None:
-                        heappush(heap_times, time)
-                        buckets[time] = ([tslot], [tvalue])
-                    else:
-                        bucket[0].append(tslot)
-                        bucket[1].append(tvalue)
-                    qcount += 1
-                    pend[tslot] = tvalue
-                    mask = con_mask[tslot] & live
-                    while mask:
-                        bit = mask & -mask
-                        mask -= bit
-                        ov_pend[bit.bit_length() - 1] = tvalue
+                    schedule(batch_time + delay, tslot, tvalue)
 
                 if index < batch_size and heap_times and heap_times[0] < batch_time:
                     # Negative-delay rule scheduled into the past: yield
                     # to the earlier timestamp exactly like the heap.
-                    rem_nets = batch_nets[index:]
-                    rem_values = batch_values[index:]
-                    bucket = buckets.get(batch_time)
-                    if bucket is None:
-                        heappush(heap_times, batch_time)
-                        buckets[batch_time] = (rem_nets, rem_values)
-                    else:
-                        bucket[0][:0] = rem_nets
-                        bucket[1][:0] = rem_values
-                    qcount += len(rem_nets)
+                    queue.push_front(
+                        batch_time, batch_nets[index:], batch_values[index:]
+                    )
                     break
-        queue._count = qcount
         leader_rng = (
             (sim_rng.getstate(), env_rng.getstate()) if jittered else None
         )
@@ -843,73 +749,36 @@ class _FaultSweep:
         copy is compared against the golden counts as it goes and drops
         out of observable bookkeeping once divergence is committed
         (``diverged`` true forces the detected verdict regardless of the
-        frozen counts).  Mirrors ``SimKernel.settle`` + ``SimKernel.drain``
-        over the copy's flat state block; under jitter the copy owns two
-        fresh ``random.Random(seed)`` streams (gate delays / handshake
-        rules) drawing in exactly the reference order, and its final RNG
-        states land in ``last_copy_rng``.
+        frozen counts).  The reference ``run()`` order: settle, the
+        environment's initial stimuli, then the drain.  Under jitter
+        the copy owns two fresh ``random.Random(seed)`` streams (gate
+        delays / handshake rules) -- the reference path builds a
+        standalone simulator and environment per fault, both seeded with
+        the campaign seed -- and its final RNG states land in
+        ``last_copy_rng``.
         """
         compiled = self.compiled
-        num_gates = len(compiled.gate_op)
         if overlay is None:
             gate_op = compiled.gate_op
             gate_row = compiled.gate_row
             initial = compiled.initial_values
         else:
             gate_op, gate_row, initial = compiled.stuck_at_overlay(*overlay)
-        gate_inputs = compiled.gate_inputs
-        gate_output = compiled.gate_output
-        gate_call = compiled.gate_call
-        gate_delay = compiled.gate_delay
-
-        # Per-copy RNG streams: the reference path builds a standalone
-        # simulator plus a fresh HandshakeEnvironment for every fault,
-        # both seeded with the campaign seed, so every copy restarts
-        # both streams (matching draw order is then purely a matter of
-        # drawing at the same points the kernel and environment would).
-        jitter = self.delay_jitter
-        self.last_copy_rng = None
+        sim_rng = env_rng = None
         if self.jittered:
             sim_rng = random.Random(self.seed)
             env_rng = random.Random(self.seed)
-            sim_uniform = sim_rng.uniform
-        else:
-            sim_rng = env_rng = None
-
-        # The copy's flat state block.
         vals = bytearray(initial)
         pend = vals[:]
-        gstate = bytearray(vals[output] for output in gate_output)
-
+        gstate = bytearray(vals[output] for output in compiled.gate_output)
         queue = BatchEventQueue()
-        counts = [0] * len(self.obs_slots)
-
-        # Settle pass (gate state intentionally not updated), then the
-        # environment's initial stimuli: the reference ``run()`` order.
-        for gate_slot in range(num_gates):
-            output = _eval_gate(
-                gate_op[gate_slot],
-                gate_row[gate_slot],
-                gate_call[gate_slot],
-                gate_inputs[gate_slot],
-                gstate[gate_slot],
-                vals,
-            )
-            output_slot = gate_output[gate_slot]
-            if output != vals[output_slot]:
-                if jitter <= 0:
-                    delay = gate_delay[gate_slot]
-                else:
-                    nominal = gate_delay[gate_slot]
-                    delay = sim_uniform(
-                        nominal * (1.0 - jitter), nominal * (1.0 + jitter)
-                    )
-                queue.push(delay, output_slot, output)
-                pend[output_slot] = output
+        settle(
+            compiled, gate_op, gate_row, vals, pend, gstate, queue, 0.0,
+            self.delay_jitter, sim_rng and sim_rng.uniform,
+        )
         for slot, value, time in self.stimuli:
             queue.push(time, slot, value)
             pend[slot] = value
-
         return self._drain(
             gate_op,
             gate_row,
@@ -917,43 +786,13 @@ class _FaultSweep:
             pend,
             gstate,
             queue,
-            counts,
+            [0] * len(self.obs_slots),
             0,
             sim_rng,
             env_rng,
             None if golden is None else golden[1],
         )
 
-    def _packed_tables(self, gate_op, gate_row) -> List[Tuple]:
-        """Per-net packed fanout view of (possibly overlay-patched) tables.
-
-        The fault-free packing is the ``"packed-fanout"`` analysis,
-        identity-cached on the compiled netlist so every sweep (and
-        every engine) over one compiled object shares a single packing;
-        an overlay differs from it in exactly the faulted net's driver
-        gate, so an overlay packing reuses every untouched net's tuple
-        and rebuilds only the nets feeding a patched gate.
-        """
-        compiled = self.compiled
-        base_op = compiled.gate_op
-        base_row = compiled.gate_row
-        base = self._packed_base
-        if base is None:
-            base = self._packed_base = _analysis.get(compiled, "packed-fanout")
-        if gate_op is base_op and gate_row is base_row:
-            return base
-        patched_nets = set()
-        for g, op in enumerate(gate_op):
-            if op != base_op[g] or gate_row[g] != base_row[g]:
-                patched_nets.update(compiled.gate_inputs[g])
-        if not patched_nets:
-            return base
-        packed = list(base)
-        for net in patched_nets:
-            packed[net] = _pack_net(compiled, net, gate_op, gate_row)
-        return packed
-
-    # -- the resumable scalar drain ----------------------------------------------------
     def _drain(
         self,
         gate_op,
@@ -973,541 +812,143 @@ class _FaultSweep:
         Resumable: state planes, queue, counts, event count, and RNG
         streams arrive exactly as they stood mid-trajectory (the sweep's
         extraction path) or fresh after settle+stimuli
-        (:meth:`_run_copy`).  Heap and bucket operations are inlined --
-        the queue object's ``_times``/``_buckets`` are mutated directly
-        and ``_count`` is synced on every exit -- and each net's fanout
-        is pre-packed into ``(gate, op, row, inputs, output, delay)``
-        tuples so the hot loop pays one list index plus an unpack per
-        gate evaluation instead of six table lookups.  Sets
-        ``last_copy_rng`` and ``last_processed`` on normal completion.
+        (:meth:`_run_copy`).  Runs the kernel's one event loop over this
+        copy's packed tables (the fault-free packing, with only the nets
+        feeding the overlay-patched driver gate rebuilt), with the
+        compiled handshake rules, observable counting and -- for fault
+        copies with exact (integral) event times and no jitter -- the
+        period hunt.  Sets ``last_copy_rng`` and ``last_processed`` on
+        normal completion.
         """
-        compiled = self.compiled
-        gate_call = compiled.gate_call
-        gate_delay = compiled.gate_delay
-        rules_by = self.rules_by
-        obs_of = self.obs_of
-        jitter = self.delay_jitter
-        env_jitter = self.env_jitter
         self.last_copy_rng = None
-        if sim_rng is not None:
-            sim_uniform = sim_rng.uniform
-            env_uniform = env_rng.uniform
-        # Struct-of-rows view of this copy's tables, packed per net
-        # (cached against the fault-free tables; only nets feeding the
-        # overlay-patched driver gate are rebuilt per copy).
-        fanout_packed = self._packed_tables(gate_op, gate_row)
-        any_rule = self._any_rule
-        if any_rule is None:
-            any_rule = self._any_rule = bytes(
-                1 if (rules_by[i + i] or rules_by[i + i + 1]) else 0
-                for i in range(len(compiled.net_names))
-            )
-        # An event can only preempt the rest of its batch when something
-        # schedules strictly into the past: a negative base delay, or
-        # over-unity jitter flipping a positive one.  With neither in
-        # the system the per-event heap peek is provably dead.
-        may_preempt = (
-            jitter >= 1.0
-            or env_jitter >= 1.0
-            or any(delay < 0 for delay in gate_delay)
-            or any(
-                entry[2] < 0 for entries in rules_by for entry in entries
-            )
-        )
-
-        heap_times = queue._times
-        buckets = queue._buckets
-        qcount = queue._count
-        limit = float("inf") if self.duration_ps is None else self.duration_ps
-        max_events = self.max_events
-        counting = True
-        diverged = False
-        # Period hunt: (state, relative queue) -> (processed, time,
-        # observable counts) at the top of each drain batch.  Fault
-        # copies with exact (integral) event times hunt; oversized
-        # queues (event avalanches never become periodic), jittered
-        # copies (drawn delays make every cycle distinct and skipping
-        # cycles would skip RNG draws) and the golden run do not.
-        snapshots: Optional[Dict] = None
+        base = self._packed_base
+        if base is None:
+            base = self._packed_base = _analysis.get(self.compiled, "packed-fanout")
+        hunt = None
         if golden_counts is not None and self.integral_times and not self.jittered:
-            snapshots = {}
-        queue_cap = 8 * len(compiled.net_names) + 64
-        batch_no = 0
-        # One-entry push-target cache (see the gate push below); None
-        # never compares equal to a float time.
-        cached_time = None
-        cached_nets = cached_vals = None
-
-        while qcount:
-            batch_time = heap_times[0]
-            if batch_time > limit:
-                break
-            if processed + qcount > max_events:
-                # Every queued event at or before the limit must be
-                # popped before the loop can end any other way, so the
-                # event cap is provably crossed: raise the reference's
-                # oscillation error without draining the flood.  (Event
-                # avalanches -- glitch trains amplified through
-                # reconvergent fanout -- grow the queue geometrically
-                # and are never periodic.)
-                eligible = processed + sum(
-                    len(nets)
-                    for time, (nets, _values) in buckets.items()
-                    if time <= limit
-                )
-                if eligible > max_events:
-                    queue._count = qcount
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events; "
-                        "the circuit is probably oscillating"
-                    )
-            if snapshots is not None and (batch_no := batch_no + 1) & 7 == 0 and (
-                qcount <= queue_cap
-                and len(snapshots) < _CYCLE_SNAPSHOT_MAX
-            ):
-                # Two-level key: the flat state bytes are cheap to
-                # build; the relative queue tuple (sorting, nested
-                # tuples) is only built when the flat state has been
-                # seen before -- i.e. when a repeat is plausible.  A
-                # fresh flat state is stored without its queue; the
-                # first revisit anchors the entry with the queue
-                # seen then (which, for a periodic orbit, is already
-                # the orbit's queue even when the flat state also
-                # occurred during the transient); later revisits
-                # compare exactly.  A key whose anchor keeps
-                # mismatching is phase aliasing (the flat state recurs
-                # with distinct queues), not a period: blacklist it so
-                # non-periodic copies stop paying for queue snapshots.
-                cheap_key = bytes(vals) + bytes(pend) + bytes(gstate)
-                seen = snapshots.get(cheap_key)
-                if seen is None:
-                    snapshots[cheap_key] = (
-                        processed,
-                        batch_time,
-                        tuple(counts),
-                        None,
-                        0,
-                    )
-                elif seen is not False:
-                    (
-                        seen_processed,
-                        seen_time,
-                        seen_counts,
-                        seen_queue,
-                        misses,
-                    ) = seen
-                    queue_rel = queue.relative_snapshot(batch_time)
-                    if seen_queue is None:
-                        snapshots[cheap_key] = (
-                            processed,
-                            batch_time,
-                            tuple(counts),
-                            queue_rel,
-                            0,
-                        )
-                    elif queue_rel == seen_queue:
-                        period = batch_time - seen_time
-                        period_events = processed - seen_processed
-                        if period > 0 and period_events > 0:
-                            # The trajectory is periodic: the
-                            # remaining evolution (events, observable
-                            # commits, the verdict) extrapolates
-                            # exactly.
-                            queue._count = qcount
-                            resolution = self._extrapolate_cycles(
-                                queue,
-                                processed,
-                                batch_time,
-                                period,
-                                period_events,
-                                limit,
-                                counts,
-                                seen_counts,
-                                golden_counts,
-                                diverged,
-                            )
-                            if resolution is None:
-                                # Detection committed and the event
-                                # cap is provably unreachable:
-                                # nothing left to run.
-                                diverged = True
-                                break
-                            # Whole periods were skipped (queue
-                            # shifted and counts advanced in place);
-                            # drain the remaining partial tail
-                            # exactly.
-                            skipped, will_diverge = resolution
-                            processed += skipped
-                            if will_diverge:
-                                diverged = True
-                                counting = False
-                            snapshots = None
-                            # The queue was shifted in place: the cached
-                            # push target no longer matches its time.
-                            cached_time = None
-                            continue
-                    elif misses >= 7:
-                        snapshots[cheap_key] = False
-                    else:
-                        snapshots[cheap_key] = (
-                            seen_processed,
-                            seen_time,
-                            seen_counts,
-                            seen_queue,
-                            misses + 1,
-                        )
-            batch_time = heappop(heap_times)
-            batch_nets, batch_values = buckets.pop(batch_time)
-            if batch_time == cached_time:
-                # The cached bucket is now the batch being consumed.
-                cached_time = None
-            qcount -= len(batch_nets)
-            batch_size = len(batch_nets)
-            if not may_preempt and processed + batch_size <= max_events:
-                # Fast batch path: preemption is impossible (no negative
-                # delays or over-unity jitter) and the event cap provably
-                # cannot be crossed inside this batch, so the per-event
-                # index/cap bookkeeping is hoisted out of the loop.  The
-                # body mirrors the careful loop below exactly.
-                processed += batch_size
-                for net_slot, value in zip(batch_nets, batch_values):
-                    if vals[net_slot] == value:
-                        continue
-                    vals[net_slot] = value
-                    if counting:
-                        obs_index = obs_of[net_slot]
-                        if obs_index >= 0:
-                            count = counts[obs_index] + 1
-                            counts[obs_index] = count
-                            if (
-                                golden_counts is not None
-                                and count > golden_counts[obs_index]
-                            ):
-                                counting = False
-                                diverged = True
-
-                    for (
-                        gate_slot,
-                        op,
-                        row,
-                        g_inputs,
-                        output_slot,
-                        g_delay,
-                    ) in fanout_packed[net_slot]:
-                        if op == _OP_TABLE2:
-                            a, b = g_inputs
-                            idx = (
-                                ((gstate[gate_slot] << 1) + vals[a]) << 1
-                            ) + vals[b]
-                            new_output = (row >> idx) & 1
-                        elif op == _OP_TABLE3:
-                            a, b, c = g_inputs
-                            idx = (
-                                ((gstate[gate_slot] << 1) + vals[a]) << 1
-                            ) + vals[b]
-                            new_output = (row >> ((idx << 1) + vals[c])) & 1
-                        elif op == _OP_TABLE4:
-                            a, b, c, d = g_inputs
-                            idx = (
-                                ((gstate[gate_slot] << 1) + vals[a]) << 1
-                            ) + vals[b]
-                            idx = (((idx << 1) + vals[c]) << 1) + vals[d]
-                            new_output = (row >> idx) & 1
-                        elif op == _OP_TABLE5:
-                            a, b, c, d, e = g_inputs
-                            idx = (
-                                ((gstate[gate_slot] << 1) + vals[a]) << 1
-                            ) + vals[b]
-                            idx = (((idx << 1) + vals[c]) << 1) + vals[d]
-                            new_output = (row >> ((idx << 1) + vals[e])) & 1
-                        elif op == _OP_TABLE6:
-                            a, b, c, d, e, f2 = g_inputs
-                            idx = (
-                                ((gstate[gate_slot] << 1) + vals[a]) << 1
-                            ) + vals[b]
-                            idx = (((idx << 1) + vals[c]) << 1) + vals[d]
-                            idx = (((idx << 1) + vals[e]) << 1) + vals[f2]
-                            new_output = (row >> idx) & 1
-                        elif op == _OP_TABLE1:
-                            (a,) = g_inputs
-                            new_output = (
-                                row >> ((gstate[gate_slot] << 1) + vals[a])
-                            ) & 1
-                        elif op == OP_TABLE:
-                            idx = gstate[gate_slot]
-                            for slot in g_inputs:
-                                idx += idx + vals[slot]
-                            new_output = (row >> idx) & 1
-                        elif op == OP_CONST:
-                            new_output = row
-                        elif op == OP_CALL:
-                            new_output = gate_call[gate_slot](
-                                [vals[s] for s in g_inputs],
-                                gstate[gate_slot],
-                            )
-                        else:
-                            total = 0
-                            for slot in g_inputs:
-                                total += vals[slot]
-                            if op == OP_WIDE_AND:
-                                new_output = 1 if total == row else 0
-                            elif op == OP_WIDE_NAND:
-                                new_output = 0 if total == row else 1
-                            elif op == OP_WIDE_OR:
-                                new_output = 1 if total else 0
-                            elif op == OP_WIDE_NOR:
-                                new_output = 0 if total else 1
-                            else:
-                                new_output = total & 1
-                        gstate[gate_slot] = new_output
-                        if new_output != pend[output_slot]:
-                            if jitter <= 0:
-                                delay = g_delay
-                            else:
-                                delay = sim_uniform(
-                                    g_delay * (1.0 - jitter),
-                                    g_delay * (1.0 + jitter),
-                                )
-                            time = batch_time + delay
-                            if time == cached_time:
-                                cached_nets.append(output_slot)
-                                cached_vals.append(new_output)
-                            else:
-                                bucket = buckets.get(time)
-                                if bucket is None:
-                                    cached_nets = [output_slot]
-                                    cached_vals = [new_output]
-                                    heappush(heap_times, time)
-                                    buckets[time] = (cached_nets, cached_vals)
-                                else:
-                                    cached_nets, cached_vals = bucket
-                                    cached_nets.append(output_slot)
-                                    cached_vals.append(new_output)
-                                cached_time = time
-                            qcount += 1
-                            pend[output_slot] = new_output
-
-                    if any_rule[net_slot]:
-                        for tslot, tvalue, delay, tname in rules_by[
-                            net_slot + net_slot + value
-                        ]:
-                            if env_jitter > 0:
-                                delay = env_uniform(
-                                    delay * (1.0 - env_jitter),
-                                    delay * (1.0 + env_jitter),
-                                )
-                            if tslot < 0:
-                                from repro.circuit.netlist import NetlistError
-
-                                queue._count = qcount
-                                raise NetlistError(f"unknown net {tname!r}")
-                            time = batch_time + delay
-                            bucket = buckets.get(time)
-                            if bucket is None:
-                                heappush(heap_times, time)
-                                buckets[time] = ([tslot], [tvalue])
-                            else:
-                                bucket[0].append(tslot)
-                                bucket[1].append(tvalue)
-                            qcount += 1
-                            pend[tslot] = tvalue
-                continue
-            index = 0
-            while index < batch_size:
-                net_slot = batch_nets[index]
-                value = batch_values[index]
-                index += 1
-                processed += 1
-                if processed > max_events:
-                    queue._count = qcount
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events; "
-                        "the circuit is probably oscillating"
-                    )
-                if vals[net_slot] == value:
-                    continue
-                vals[net_slot] = value
-                if counting:
-                    obs_index = obs_of[net_slot]
-                    if obs_index >= 0:
-                        count = counts[obs_index] + 1
-                        counts[obs_index] = count
-                        if (
-                            golden_counts is not None
-                            and count > golden_counts[obs_index]
-                        ):
-                            # Counts are monotone: exceeding the golden
-                            # final count commits the detection.  Drop
-                            # the copy from observable bookkeeping; the
-                            # event loop keeps draining (or is resolved
-                            # by the period hunt) so error semantics
-                            # stay bit-identical to the reference.
-                            counting = False
-                            diverged = True
-
-                for (
-                    gate_slot,
-                    op,
-                    row,
-                    g_inputs,
-                    output_slot,
-                    g_delay,
-                ) in fanout_packed[net_slot]:
-                    if op == _OP_TABLE2:
-                        a, b = g_inputs
-                        idx = (((gstate[gate_slot] << 1) + vals[a]) << 1) + vals[b]
-                        new_output = (row >> idx) & 1
-                    elif op == _OP_TABLE3:
-                        a, b, c = g_inputs
-                        idx = (((gstate[gate_slot] << 1) + vals[a]) << 1) + vals[b]
-                        new_output = (row >> ((idx << 1) + vals[c])) & 1
-                    elif op == _OP_TABLE4:
-                        a, b, c, d = g_inputs
-                        idx = (((gstate[gate_slot] << 1) + vals[a]) << 1) + vals[b]
-                        idx = (((idx << 1) + vals[c]) << 1) + vals[d]
-                        new_output = (row >> idx) & 1
-                    elif op == _OP_TABLE5:
-                        a, b, c, d, e = g_inputs
-                        idx = (((gstate[gate_slot] << 1) + vals[a]) << 1) + vals[b]
-                        idx = (((idx << 1) + vals[c]) << 1) + vals[d]
-                        new_output = (row >> ((idx << 1) + vals[e])) & 1
-                    elif op == _OP_TABLE6:
-                        a, b, c, d, e, f2 = g_inputs
-                        idx = (((gstate[gate_slot] << 1) + vals[a]) << 1) + vals[b]
-                        idx = (((idx << 1) + vals[c]) << 1) + vals[d]
-                        idx = (((idx << 1) + vals[e]) << 1) + vals[f2]
-                        new_output = (row >> idx) & 1
-                    elif op == _OP_TABLE1:
-                        (a,) = g_inputs
-                        new_output = (
-                            row >> ((gstate[gate_slot] << 1) + vals[a])
-                        ) & 1
-                    elif op == OP_TABLE:
-                        idx = gstate[gate_slot]
-                        for slot in g_inputs:
-                            idx += idx + vals[slot]
-                        new_output = (row >> idx) & 1
-                    elif op == OP_CONST:
-                        new_output = row
-                    elif op == OP_CALL:
-                        new_output = gate_call[gate_slot](
-                            [vals[s] for s in g_inputs],
-                            gstate[gate_slot],
-                        )
-                    else:
-                        total = 0
-                        for slot in g_inputs:
-                            total += vals[slot]
-                        if op == OP_WIDE_AND:
-                            new_output = 1 if total == row else 0
-                        elif op == OP_WIDE_NAND:
-                            new_output = 0 if total == row else 1
-                        elif op == OP_WIDE_OR:
-                            new_output = 1 if total else 0
-                        elif op == OP_WIDE_NOR:
-                            new_output = 0 if total else 1
-                        else:
-                            new_output = total & 1
-                    gstate[gate_slot] = new_output
-                    if new_output != pend[output_slot]:
-                        if jitter <= 0:
-                            delay = g_delay
-                        else:
-                            delay = sim_uniform(
-                                g_delay * (1.0 - jitter),
-                                g_delay * (1.0 + jitter),
-                            )
-                        time = batch_time + delay
-                        # One-entry bucket cache: glitch trains push the
-                        # same target time many times in a row, so the
-                        # float compare usually replaces a dict probe.
-                        if time == cached_time:
-                            cached_nets.append(output_slot)
-                            cached_vals.append(new_output)
-                        else:
-                            bucket = buckets.get(time)
-                            if bucket is None:
-                                cached_nets = [output_slot]
-                                cached_vals = [new_output]
-                                heappush(heap_times, time)
-                                buckets[time] = (cached_nets, cached_vals)
-                            else:
-                                cached_nets, cached_vals = bucket
-                                cached_nets.append(output_slot)
-                                cached_vals.append(new_output)
-                            cached_time = time
-                        qcount += 1
-                        pend[output_slot] = new_output
-
-                if any_rule[net_slot]:
-                    for tslot, tvalue, delay, tname in rules_by[
-                        net_slot + net_slot + value
-                    ]:
-                        if env_jitter > 0:
-                            # HandshakeEnvironment._delay draws per
-                            # matching rule -- before schedule() can
-                            # reject an unknown target (argument
-                            # evaluation order).
-                            delay = env_uniform(
-                                delay * (1.0 - env_jitter),
-                                delay * (1.0 + env_jitter),
-                            )
-                        if tslot < 0:
-                            from repro.circuit.netlist import NetlistError
-
-                            queue._count = qcount
-                            raise NetlistError(f"unknown net {tname!r}")
-                        time = batch_time + delay
-                        bucket = buckets.get(time)
-                        if bucket is None:
-                            heappush(heap_times, time)
-                            buckets[time] = ([tslot], [tvalue])
-                        else:
-                            bucket[0].append(tslot)
-                            bucket[1].append(tvalue)
-                        qcount += 1
-                        pend[tslot] = tvalue
-
-                if (
-                    may_preempt
-                    and index < batch_size
-                    and heap_times
-                    and heap_times[0] < batch_time
-                ):
-                    # Negative-delay rule scheduled into the past: yield
-                    # to the earlier timestamp exactly like the heap.
-                    rem_nets = batch_nets[index:]
-                    rem_values = batch_values[index:]
-                    bucket = buckets.get(batch_time)
-                    if bucket is None:
-                        heappush(heap_times, batch_time)
-                        buckets[batch_time] = (rem_nets, rem_values)
-                    else:
-                        bucket[0][:0] = rem_nets
-                        bucket[1][:0] = rem_values
-                    qcount += len(rem_nets)
-                    break
-
-        queue._count = qcount
+            hunt = _PeriodHunt(self, vals, pend, gstate, queue, golden_counts)
+        processed, diverged = drain(
+            pack_fanout_tables(self.compiled, gate_op, gate_row, base),
+            self.compiled.gate_call,
+            vals,
+            pend,
+            gstate,
+            queue,
+            max_events=self.max_events,
+            reacts=self._reacts,
+            processed=processed,
+            limit=self.limit,
+            jitter=self.delay_jitter,
+            sim_uniform=sim_rng and sim_rng.uniform,
+            rules_by=self.rules_by,
+            env_jitter=self.env_jitter,
+            env_uniform=env_rng and env_rng.uniform,
+            obs_of=self.obs_of,
+            counts=counts,
+            golden_counts=golden_counts,
+            hunt=hunt,
+        )
         if sim_rng is not None:
             self.last_copy_rng = (sim_rng.getstate(), env_rng.getstate())
         self.last_processed = processed
         finals = tuple(vals[slot] for slot in self.obs_slots)
         return finals, tuple(counts), diverged
 
-    def _extrapolate_cycles(
+
+class _PeriodHunt:
+    """Period detection and exact extrapolation for one fault copy's drain.
+
+    Visited by :func:`~repro.engine.simkernel.drain` at the top of every
+    eighth batch.  Snapshots map ``(state, relative queue)`` to
+    ``(processed, time, observable counts)``; oversized queues (event
+    avalanches never become periodic) are not snapshotted, and past
+    ``_CYCLE_SNAPSHOT_MAX`` entries aperiodic copies stop paying for it.
+    """
+
+    __slots__ = (
+        "vals",
+        "pend",
+        "gstate",
+        "queue",
+        "limit",
+        "max_events",
+        "golden_counts",
+        "queue_cap",
+        "snapshots",
+    )
+
+    def __init__(self, sweep, vals, pend, gstate, queue, golden_counts) -> None:
+        self.vals = vals
+        self.pend = pend
+        self.gstate = gstate
+        self.queue = queue
+        self.limit = sweep.limit
+        self.max_events = sweep.max_events
+        self.golden_counts = golden_counts
+        self.queue_cap = 8 * len(sweep.compiled.net_names) + 64
+        self.snapshots: Dict = {}
+
+    def visit(
+        self, processed: int, now: float, counts: List[int], diverged: bool
+    ) -> Optional[Tuple[int, bool, bool]]:
+        """Snapshot this batch top; extrapolate once the trajectory repeats.
+
+        Returns ``None`` while no period is known, else ``(events
+        skipped, divergence committed, nothing left to run)`` from
+        :meth:`_extrapolate`.
+        """
+        snapshots = self.snapshots
+        if (
+            len(self.queue) > self.queue_cap
+            or len(snapshots) >= _CYCLE_SNAPSHOT_MAX
+        ):
+            return None
+        # Two-level key: the flat state bytes are cheap to build; the
+        # relative queue tuple (sorting, nested tuples) is only built
+        # when the flat state has been seen before -- i.e. when a repeat
+        # is plausible.  A fresh flat state is stored without its queue;
+        # the first revisit anchors the entry with the queue seen then
+        # (which, for a periodic orbit, is already the orbit's queue
+        # even when the flat state also occurred during the transient);
+        # later revisits compare exactly.  A key whose anchor keeps
+        # mismatching is phase aliasing (the flat state recurs with
+        # distinct queues), not a period: blacklist it so non-periodic
+        # copies stop paying for queue snapshots.
+        cheap_key = bytes(self.vals) + bytes(self.pend) + bytes(self.gstate)
+        seen = snapshots.get(cheap_key)
+        if seen is None:
+            snapshots[cheap_key] = (processed, now, tuple(counts), None, 0)
+            return None
+        if seen is False:
+            return None
+        seen_processed, seen_time, seen_counts, seen_queue, misses = seen
+        queue_rel = self.queue.relative_snapshot(now)
+        if seen_queue is None:
+            snapshots[cheap_key] = (processed, now, tuple(counts), queue_rel, 0)
+        elif queue_rel == seen_queue:
+            period = now - seen_time
+            period_events = processed - seen_processed
+            if period > 0 and period_events > 0:
+                return self._extrapolate(
+                    processed, now, period, period_events, counts, seen_counts,
+                    diverged,
+                )
+        elif misses >= 7:
+            snapshots[cheap_key] = False
+        else:
+            snapshots[cheap_key] = seen[:4] + (misses + 1,)
+        return None
+
+    def _extrapolate(
         self,
-        queue: BatchEventQueue,
         processed: int,
         now: float,
         period: float,
         period_events: int,
-        limit: float,
         counts: List[int],
         seen_counts: Tuple[int, ...],
-        golden_counts: Optional[Tuple[int, ...]],
         diverged: bool,
-    ) -> Optional[Tuple[int, bool]]:
+    ) -> Tuple[int, bool, bool]:
         """Resolve a copy whose trajectory proved periodic.
 
         From the repeat point the evolution is shift-invariant (all times
@@ -1517,26 +958,22 @@ class _FaultSweep:
         observable transitions, so counts advance by the observed
         per-period delta).  Raises the reference oscillation error when
         ``max_events`` is provably crossed within the cycles that fit.
-        Returns ``None`` when detection is committed (already diverged,
-        or the extrapolated counts provably exceed the golden ones) *and*
-        the cap is provably unreachable -- the verdict no longer depends
-        on the final state, nothing is left to simulate.  Otherwise
-        shifts the queue forward in place by every whole period that
-        fits, advances ``counts`` accordingly, and returns
-        ``(events skipped, divergence committed)``; the caller drains
-        the remaining partial tail (less than one period) exactly --
-        that covers an ambiguous cap landing inside the tail as well as
-        the final observable state of an undetected copy.
+        When detection is committed (already diverged, or the
+        extrapolated counts provably exceed the golden ones) *and* the
+        cap is provably unreachable, the verdict no longer depends on
+        the final state: nothing is left to simulate.  Otherwise shifts
+        the queue forward in place by every whole period that fits and
+        advances ``counts`` accordingly; the drain then runs the
+        remaining partial tail (less than one period) exactly -- that
+        covers an ambiguous cap landing inside the tail as well as the
+        final observable state of an undetected copy.
         """
         max_events = self.max_events
-        oscillating = RuntimeError(
-            f"simulation exceeded {max_events} events; "
-            "the circuit is probably oscillating"
-        )
+        limit = self.limit
         if limit == float("inf"):
             # Periodic with events per period > 0 and no time limit: the
             # event cap is crossed with certainty.
-            raise oscillating
+            raise oscillation_error(max_events)
         full_cycles = int((limit - now) // period)
         # Guard the float floor-division against a non-integral limit:
         # every period must fit entirely at or before the limit.
@@ -1544,22 +981,20 @@ class _FaultSweep:
             full_cycles -= 1
         total_after = processed + full_cycles * period_events
         if total_after > max_events:
-            raise oscillating
+            raise oscillation_error(max_events)
         delta = [count - seen for count, seen in zip(counts, seen_counts)]
-        will_diverge = diverged or (
-            golden_counts is not None
-            and any(
-                counts[index] + full_cycles * delta[index] > golden_counts[index]
-                for index in range(len(counts))
-            )
+        golden_counts = self.golden_counts
+        will_diverge = diverged or any(
+            counts[index] + full_cycles * delta[index] > golden_counts[index]
+            for index in range(len(counts))
         )
         if will_diverge and total_after + period_events <= max_events:
-            # Detection committed and even a whole extra cycle cannot
-            # reach the cap (the remaining tail is at most a partial
-            # cycle): fully resolved.
-            return None
+            # Even a whole extra cycle cannot reach the cap (the
+            # remaining tail is at most a partial cycle): fully resolved.
+            return 0, True, True
         shift = full_cycles * period
         if shift:
+            queue = self.queue
             shifted = {
                 time + shift: bucket for time, bucket in queue._buckets.items()
             }
@@ -1568,46 +1003,7 @@ class _FaultSweep:
             queue._times[:] = [time + shift for time in queue._times]
             for index, step in enumerate(delta):
                 counts[index] += full_cycles * step
-        return full_cycles * period_events, will_diverge
-
-
-def _pack_net(compiled: CompiledNetlist, net: int, gate_op, gate_row) -> Tuple:
-    """Pack one net's fanout gates for the drain loop.
-
-    Each entry is ``(gate, op, row, inputs, output, delay)`` with
-    1-6-input table gates demoted to the arity-specialized private
-    opcodes so the hot loop indexes their row without a per-input
-    loop.
-    """
-    gate_inputs = compiled.gate_inputs
-    gate_output = compiled.gate_output
-    gate_delay = compiled.gate_delay
-    entries = []
-    for g in compiled.fanout[net]:
-        op = gate_op[g]
-        inputs = gate_inputs[g]
-        if op == OP_TABLE:
-            arity = len(inputs)
-            if 1 <= arity <= 6:
-                op = -arity
-        entries.append(
-            (g, op, gate_row[g], inputs, gate_output[g], gate_delay[g])
-        )
-    return tuple(entries)
-
-
-def pack_fanout_tables(compiled: CompiledNetlist) -> List[Tuple]:
-    """Fault-free per-net packed fanout tables (the ``"packed-fanout"`` analysis).
-
-    The result is what every :class:`_FaultSweep` over ``compiled``
-    starts from; overlay packings patch individual nets on top of it.
-    """
-    gate_op = compiled.gate_op
-    gate_row = compiled.gate_row
-    return [
-        _pack_net(compiled, net, gate_op, gate_row)
-        for net in range(len(compiled.fanout))
-    ]
+        return full_cycles * period_events, will_diverge, False
 
 
 # Flattened handshake rule (repro.analysis.compilecache.campaign_params

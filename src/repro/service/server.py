@@ -61,6 +61,14 @@ from repro.service.scheduler import Entry, FairScheduler
 _CLOSE = object()  # writer-task sentinel
 
 
+def _tenant_weight(weight: Any) -> float:
+    """A frame's ``weight`` as a positive finite float, or ``ValueError``."""
+    if isinstance(weight, (int, float)) and not isinstance(weight, bool):
+        if 0 < weight < 2.0**1023:  # also keeps float() from overflowing
+            return float(weight)
+    raise ValueError(f"weight must be a positive number, got {weight!r}")
+
+
 @dataclass
 class ServiceConfig:
     """Tunables of one :class:`DecodeService` instance."""
@@ -257,7 +265,15 @@ class DecodeService:
         finally:
             await self._abandon_session(session)
 
-    def _handle_frame(self, session: _Session, frame: Dict[str, Any]) -> None:
+    def _handle_frame(self, session: _Session, frame: Any) -> None:
+        if not isinstance(frame, dict):
+            session.post(
+                {
+                    "event": "protocol-error",
+                    "error": f"frame must be a JSON object, not {type(frame).__name__}",
+                }
+            )
+            return
         op = frame.get("op")
         if op == "request":
             self._admit(session, frame)
@@ -279,9 +295,14 @@ class DecodeService:
         params = frame.get("params") or {}
         self.metrics["requests"] += 1
         record = trace_mod.new_trace(request_id, tenant, capability)
-        if weight := frame.get("weight"):
-            self.scheduler.set_weight(tenant, float(weight))
         try:
+            if not isinstance(params, dict):
+                raise TypeError(
+                    f"params must be a JSON object, not {type(params).__name__}"
+                )
+            weight = frame.get("weight")
+            if weight is not None:
+                self.scheduler.set_weight(tenant, _tenant_weight(weight))
             handler = handler_registry.get(capability)
             key = handler.batch_key(params)
             request_cost = handler.cost(params)

@@ -534,6 +534,51 @@ class TestSimKernelDifferential:
         reference = build_and_overflow(_ReferenceEventDrivenSimulator)
         assert len(fast._kernel.queue) == len(reference._queue)
 
+    @pytest.mark.parametrize("max_events", [*range(1, 9), 100])
+    def test_callback_pushes_into_cached_bucket_and_past(self, max_events):
+        """A Python callback scheduling through the public API mid-drain.
+
+        When ``a`` rises at t=100 its buffer pushes ``b`` for t=180 (the
+        drain's one-entry bucket cache); the callback then schedules
+        ``x`` onto that same t=180 bucket and ``z`` into the past
+        (t=95), preempting the rest of the t=100 batch.  The t=180 batch
+        ends up as ``[b, x, yb]``; caps 4-6 land inside it, and the
+        post-raise waveforms, event count and queue length must match.
+        """
+        from repro.circuit.simulator import CallbackEnvironment
+
+        def build():
+            netlist = Netlist("callback")
+            buf = STANDARD_LIBRARY.get("BUF")
+            for net in ("a", "y", "x", "z"):
+                netlist.add_primary_input(net)
+                netlist.add_gate(f"g{net}", buf, [net], f"{net}b")
+            return netlist
+
+        def react(simulator, net, value, time):
+            if net == "a" and value:
+                simulator.schedule("x", 1, time + 80.0)
+                simulator.schedule("z", 1, time - 5.0)
+
+        def run(simulator_class):
+            simulator = simulator_class(build(), [CallbackEnvironment(react)])
+            simulator.schedule("a", 1, 100.0)
+            simulator.schedule("y", 1, 100.0)
+            try:
+                simulator.run(max_events=max_events)
+            except RuntimeError as error:
+                assert f"exceeded {max_events} events" in str(error)
+            queue = getattr(simulator, "_queue", None)
+            return (
+                {net: w.changes for net, w in simulator.waveforms.items()},
+                simulator.event_count,
+                len(simulator._kernel.queue if queue is None else queue),
+            )
+
+        fast = run(EventDrivenSimulator)
+        assert fast == run(_ReferenceEventDrivenSimulator)
+        assert fast[1] == min(max_events, 8)
+
     def test_unenumerable_gate_falls_back_to_call_and_matches(self):
         """An eval_fn that raises during offline enumeration compiles to
         OP_CALL: per-event evaluation, reference-identical traces and

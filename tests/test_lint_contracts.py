@@ -1,11 +1,13 @@
 """Tests for scripts/lint_contracts.py on injected tmp-file violations.
 
-The lint guards four repo conventions -- every ``_reference_*`` oracle
+The lint guards the repo's conventions -- every ``_reference_*`` oracle
 is pinned by the differential suite, every reduced exploration path in
 the petrinet package is differentially pinned against the full-graph
-oracle, engine modules never draw from module-global RNG state, and
-pool dispatch call sites never hide worker application errors behind
-broad exception catches.  Each rule is proven to fire on synthetic
+oracle, engine modules never draw from module-global RNG state, pool
+dispatch call sites never hide worker application errors behind broad
+exception catches, service handlers reach the engine only through
+vetted entry points, and gate opcodes are dispatched only by the
+kernel's one evaluator and drain.  Each rule is proven to fire on synthetic
 violations and to stay quiet on the real tree (the same invocation
 ``scripts/check.sh`` runs).
 """
@@ -169,6 +171,57 @@ class TestRngRule:
             """,
         )
         assert lint_contracts.check_engine_rng(engine) == []
+
+
+class TestGateDispatchRule:
+    def test_second_dispatch_copy_reported(self, tmp_path):
+        engine = tmp_path / "engine"
+        module = write(
+            engine / "sweep.py",
+            """\
+            from repro.engine import events
+            from repro.engine.events import OP_CONST, OP_TABLE
+
+            def evaluate(op, row, state, bits):
+                if op == OP_TABLE:
+                    return (row >> (state * 2 + bits)) & 1
+                if op in (OP_CONST, events.OP_WIDE_AND):
+                    return row
+                return -1
+            """,
+        )
+        findings = lint_contracts.check_gate_dispatch(engine)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("gate-dispatch-single-owner", 5),
+            ("gate-dispatch-single-owner", 7),
+        ]
+        assert "OP_CONST, OP_WIDE_AND" in findings[1].message
+        assert findings[0].describe().startswith(f"{module}:5:")
+        assert len(lint_contracts.run(tmp_path, engine, tmp_path / "t.py")) == 2
+
+    def test_private_arity_rows_reported(self, tmp_path):
+        engine = tmp_path / "engine"
+        write(engine / "loop.py", "def f(op):\n    return op != _OP_TABLE3\n")
+        findings = lint_contracts.check_gate_dispatch(engine)
+        assert [f.line for f in findings] == [2]
+
+    def test_owners_and_non_comparisons_are_allowed(self, tmp_path):
+        engine = tmp_path / "engine"
+        dispatch = "def f(op):\n    return op == OP_TABLE\n"
+        write(engine / "events.py", dispatch)
+        write(engine / "simkernel.py", dispatch)
+        write(
+            engine / "faultsim.py",
+            """\
+            from repro.engine.simkernel import eval_gate
+
+            PATCHED = {OP_CONST: "const"}
+
+            def changed(op, base):
+                return op != base
+            """,
+        )
+        assert lint_contracts.check_gate_dispatch(engine) == []
 
 
 class TestDispatchCatchRule:

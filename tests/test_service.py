@@ -24,6 +24,7 @@ precise points.
 """
 
 import asyncio
+import json
 import threading
 
 import pytest
@@ -193,6 +194,59 @@ class TestDecodeParams:
         assert "shards" in str(failure)
         assert "admission" not in failure.trace
         assert after.payload == direct_decode_payload(11, 500)[0]
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize(
+        "frame, event, field",
+        [
+            ("[1]", "protocol-error", "JSON object"),
+            (
+                '{"op": "request", "id": "p", "capability": "reachability", '
+                '"params": [1]}',
+                "error",
+                "params",
+            ),
+            (
+                '{"op": "request", "id": "w", "capability": "decode", '
+                '"params": {"seed": 1, "instructions": 10}, "weight": "heavy"}',
+                "error",
+                "weight",
+            ),
+            (
+                '{"op": "request", "id": "n", "capability": "decode", '
+                '"params": {"seed": 1, "instructions": 10}, "weight": -2}',
+                "error",
+                "weight",
+            ),
+        ],
+        ids=["non-object", "params", "weight-type", "weight-sign"],
+    )
+    def test_bad_frame_gets_a_reply_and_the_session_lives_on(
+        self, frame, event, field
+    ):
+        async def scenario():
+            service = DecodeService(ServiceConfig())
+            host, port = await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    writer.write(frame.encode() + b"\n")
+                    writer.write(b'{"op": "ping"}\n')
+                    await writer.drain()
+                    return [
+                        json.loads(await asyncio.wait_for(reader.readline(), 10))
+                        for _ in range(2)
+                    ]
+                finally:
+                    writer.close()
+            finally:
+                await service.shutdown()
+
+        reply, pong = asyncio.run(scenario())
+        assert reply["event"] == event
+        assert field in reply["error"]
+        assert pong == {"event": "pong"}
 
 
 class TestDeterministicInterleaving:
