@@ -65,9 +65,17 @@ contract.  This lint makes them mechanical:
     analyses outside the engine (``repro.analysis``) read opcodes to
     reason about gates without simulating them and are not scanned.
 
+``closure-self-reference``
+    A nested ``def`` under ``src/repro/engine`` or ``src/repro/rappid``
+    that calls itself by name reaches itself through its own closure
+    cell: function, cell and function form a reference cycle that only
+    a full garbage collection frees, and everything the closure holds
+    (a run's per-line dicts, say) stays alive until then.  Recursive
+    helpers live at module level and take their state as arguments.
+
 Diagnostics are ``file:line: rule: message`` lines on stdout; the exit
 status is the number of findings (0 = clean).  Run by ``scripts/check.sh``
-and CI; ``tests/test_lint_contracts.py`` pins both rules on injected
+and CI; ``tests/test_lint_contracts.py`` pins every rule on injected
 tmp-file violations.
 """
 
@@ -433,6 +441,41 @@ def check_gate_dispatch(engine_root: Path) -> List[Finding]:
     return findings
 
 
+def _nested_defs(node: ast.AST, inside: bool = False):
+    """Every ``def`` nested in another function's body, outermost first."""
+    for child in ast.iter_child_nodes(node):
+        is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if is_def and inside:
+            yield child
+        yield from _nested_defs(child, inside or is_def)
+
+
+def check_closure_self_reference(roots: List[Path]) -> List[Finding]:
+    """``closure-self-reference``: nested defs that call themselves."""
+    findings: List[Finding] = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for inner in _nested_defs(_parse(path)):
+                if any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == inner.name
+                    for node in ast.walk(inner)
+                ):
+                    findings.append(
+                        Finding(
+                            path,
+                            inner.lineno,
+                            "closure-self-reference",
+                            f"nested {inner.name}() calls itself through its "
+                            "closure cell, a reference cycle that pins its "
+                            "closure until a full collection; make it a "
+                            "module-level function",
+                        )
+                    )
+    return findings
+
+
 def run(src_root: Path, engine_root: Path, differential_test: Path) -> List[Finding]:
     findings = check_oracle_references(src_root, differential_test)
     findings.extend(
@@ -440,6 +483,11 @@ def run(src_root: Path, engine_root: Path, differential_test: Path) -> List[Find
     )
     findings.extend(check_engine_rng(engine_root))
     findings.extend(check_gate_dispatch(engine_root))
+    findings.extend(
+        check_closure_self_reference(
+            [root for root in (engine_root, src_root / "rappid") if root.is_dir()]
+        )
+    )
     findings.extend(check_dispatch_catches(src_root))
     findings.extend(
         check_handler_dispatch(src_root / "service" / "handlers")
@@ -456,8 +504,8 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--engine", type=Path, default=None,
-        help="engine package checked for unpinned RNG and gate dispatch "
-        "(default: <src>/engine)",
+        help="engine package checked for unpinned RNG, gate dispatch and "
+        "recursive closures (default: <src>/engine)",
     )
     parser.add_argument(
         "--differential-test", type=Path,

@@ -8,8 +8,12 @@ results are bit-identical -- while stripping the interpreter overhead:
 * the three latency models (:func:`~repro.rappid.isa.decode_latency_ps`,
   ``tag_latency_ps``, ``steering_latency_ps``) collapse into lookup
   tables built once per call;
-* instruction attributes are decoded into flat arrays by C-level
-  ``map`` passes instead of per-iteration dataclass attribute chains;
+* the stream arrives as columns (a
+  :class:`~repro.rappid.workload.InstructionStream`), so the loop reads
+  flat lists instead of per-iteration dataclass attribute chains; a
+  caller-built list of :class:`~repro.rappid.workload.Instruction`
+  objects is marshalled into columns once, by
+  :meth:`~repro.rappid.workload.InstructionStream.of`;
 * the per-column (cache-line) arrival recursion is flattened into dict
   lookups with a recursive slow path only for lines in which no
   instruction starts, and each line's consumption time is stored when
@@ -24,11 +28,11 @@ ulp; everything else compares equal with ``==``.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.rappid.isa import decode_latency_ps, steering_latency_ps, tag_latency_ps
-from repro.rappid.workload import CacheLine, Instruction
+from repro.rappid.workload import CacheLine, Instruction, InstructionStream
 
 try:  # optional: same IEEE float64 ops, just faster; the image has it
     import numpy as _np
@@ -53,33 +57,20 @@ def _validate_config(config) -> None:
         )
 
 
-def _stream_arrays(
-    instructions: Sequence[Instruction], line_bytes: int = 16
-) -> tuple:
-    """(lengths, classes, start_bytes, first_lines) as flat arrays.
-
-    One C-level ``map`` pass per attribute; ``first_lines`` honours the
-    configured line geometry (with a shift fast path for the default
-    16-byte lines).
-    """
-    lengths = list(map(attrgetter("length"), instructions))
-    classes = list(map(attrgetter("instruction_class"), instructions))
-    start_bytes = list(map(attrgetter("start_byte"), instructions))
+def _line_spans(
+    lengths: Sequence[int], start_bytes: Sequence[int], line_bytes: int
+) -> Tuple[List[int], List[int]]:
+    """First and last cache line of every instruction, for ``line_bytes``
+    lines (with a shift fast path for the default 16-byte lines)."""
     if line_bytes == 16:
         first_lines = [sb >> 4 for sb in start_bytes]
+        last_lines = [(sb + length - 1) >> 4 for sb, length in zip(start_bytes, lengths)]
     else:
         first_lines = [sb // line_bytes for sb in start_bytes]
-    return lengths, classes, start_bytes, first_lines
-
-
-def _last_lines(
-    lengths: Sequence[int], start_bytes: Sequence[int], line_bytes: int
-) -> List[int]:
-    if line_bytes == 16:
-        return [(sb + length - 1) >> 4 for sb, length in zip(start_bytes, lengths)]
-    return [
-        (sb + length - 1) // line_bytes for sb, length in zip(start_bytes, lengths)
-    ]
+        last_lines = [
+            (sb + length - 1) // line_bytes for sb, length in zip(start_bytes, lengths)
+        ]
+    return first_lines, last_lines
 
 
 def _latency_tables(lengths: Sequence[int]) -> Tuple[List[float], List[float]]:
@@ -117,16 +108,16 @@ def run_batched(
     if not instructions:
         return None
 
-    line_bytes = config.line_bytes
-    lengths, classes, start_bytes, first_lines = _stream_arrays(
-        instructions, line_bytes
+    stream = InstructionStream.of(instructions, config.line_bytes)
+    lengths = stream.lengths
+    first_lines, last_lines = _line_spans(
+        lengths, stream.start_bytes, config.line_bytes
     )
-    last_lines = _last_lines(lengths, start_bytes, line_bytes)
     tag_table, steer_table = _latency_tables(lengths)
 
     avail_times, tag_times, line_consumed = _hot_loop(
         lengths,
-        classes,
+        stream.classes,
         first_lines,
         last_lines,
         tag_table,
@@ -280,6 +271,37 @@ def _steer(
     return issue_times, None
 
 
+def _arrival_of(
+    line_arrival: Dict[int, float],
+    line_consumed: Dict[int, float],
+    prefetch_depth: int,
+    fetch_latency: float,
+    line_index: int,
+) -> float:
+    """Recursive slow path: only lines with no instruction start in them.
+
+    Module-level, and bound with ``partial`` by :func:`_hot_loop`: a
+    nested function calling itself by name keeps itself alive through
+    its own closure cell, and that cycle would pin both dicts until a
+    full garbage collection.
+    """
+    cached = line_arrival.get(line_index)
+    if cached is not None:
+        return cached
+    if line_index < prefetch_depth:
+        arrival = 0.0
+    else:
+        blocker = line_index - prefetch_depth
+        previous_done = line_consumed.get(blocker)
+        if previous_done is None:
+            previous_done = _arrival_of(
+                line_arrival, line_consumed, prefetch_depth, fetch_latency, blocker
+            )
+        arrival = previous_done + fetch_latency
+    line_arrival[line_index] = arrival
+    return arrival
+
+
 def _hot_loop(
     lengths: List[int],
     classes: List[object],
@@ -310,22 +332,9 @@ def _hot_loop(
     line_consumed: Dict[int, float] = {}
     arrival_get = line_arrival.get
     consumed_get = line_consumed.get
-
-    def arrival_of(line_index: int) -> float:
-        """Recursive slow path: only lines with no instruction start in them."""
-        cached = arrival_get(line_index)
-        if cached is not None:
-            return cached
-        if line_index < prefetch_depth:
-            arrival = 0.0
-        else:
-            blocker = line_index - prefetch_depth
-            previous_done = consumed_get(blocker)
-            if previous_done is None:
-                previous_done = arrival_of(blocker)
-            arrival = previous_done + fetch_latency
-        line_arrival[line_index] = arrival
-        return arrival
+    arrival_of = partial(
+        _arrival_of, line_arrival, line_consumed, prefetch_depth, fetch_latency
+    )
 
     avail_times: List[float] = []
     tag_times: List[float] = []

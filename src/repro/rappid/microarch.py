@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.rappid.isa import (
@@ -157,6 +158,36 @@ class RappidResult:
         }
 
 
+def _oracle_line_arrival(
+    line_arrival: Dict[int, float],
+    line_consumed: Dict[int, float],
+    config: RappidConfig,
+    line_index: int,
+) -> float:
+    """Arrival time of a cache line for :meth:`RappidDecoder._reference_run`.
+
+    Module-level, and bound with ``partial``, so the recursion holds no
+    closure cell: a nested function calling itself by name is a
+    reference cycle that keeps the run's line dicts alive until a full
+    garbage collection.
+    """
+    if line_index in line_arrival:
+        return line_arrival[line_index]
+    if line_index < config.prefetch_depth:
+        line_arrival[line_index] = 0.0
+    else:
+        blocker = line_index - config.prefetch_depth
+        # Explicit None check: a .get() default would evaluate the
+        # recursion eagerly even when the blocker is already consumed.
+        previous_done = line_consumed.get(blocker)
+        if previous_done is None:
+            previous_done = _oracle_line_arrival(
+                line_arrival, line_consumed, config, blocker
+            )
+        line_arrival[line_index] = previous_done + config.line_fetch_latency_ps
+    return line_arrival[line_index]
+
+
 class RappidDecoder:
     """Discrete-event behavioural simulator of the RAPPID front end."""
 
@@ -197,21 +228,7 @@ class RappidDecoder:
         # consumed; only a small residual hand-off latency remains.
         line_arrival: Dict[int, float] = {}
         line_consumed: Dict[int, float] = {}
-
-        def arrival_of(line_index: int) -> float:
-            if line_index in line_arrival:
-                return line_arrival[line_index]
-            if line_index < config.prefetch_depth:
-                line_arrival[line_index] = 0.0
-            else:
-                blocker = line_index - config.prefetch_depth
-                # Explicit None check: a .get() default would evaluate the
-                # recursion eagerly even when the blocker is already consumed.
-                previous_done = line_consumed.get(blocker)
-                if previous_done is None:
-                    previous_done = arrival_of(blocker)
-                line_arrival[line_index] = previous_done + config.line_fetch_latency_ps
-            return line_arrival[line_index]
+        arrival_of = partial(_oracle_line_arrival, line_arrival, line_consumed, config)
 
         energy = 0.0
         issue_times: List[float] = []

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.rappid.microarch import RappidConfig, RappidDecoder
-from repro.rappid.workload import WorkloadGenerator
+from repro.rappid.workload import CacheLines, InstructionStream, WorkloadGenerator
 
 NAME = "decode"
 
@@ -77,17 +77,15 @@ def cost(params: Dict[str, Any]) -> float:
 @lru_cache(maxsize=32)
 def _workload(
     seed: int, count: int, line_bytes: int
-) -> Tuple[tuple, tuple]:
+) -> Tuple[InstructionStream, CacheLines]:
     """Deterministic (instructions, lines) for a request's workload knobs.
 
     Cached so coalesced batches repeating a workload (the load
-    generator's steady state) skip regeneration; tuples keep the cache
-    entries immutable.
+    generator's steady state) skip regeneration.  The cached values are
+    the generator's read-only columnar views, which ``run`` reads
+    without copying.
     """
-    generator = WorkloadGenerator(seed=seed, line_bytes=line_bytes)
-    instructions = generator.instructions(count)
-    lines = generator.cache_lines(instructions)
-    return tuple(instructions), tuple(lines)
+    return WorkloadGenerator(seed=seed, line_bytes=line_bytes).workload(count)
 
 
 def run(
@@ -105,7 +103,7 @@ def run(
         raise ValueError("instructions must be at least 1")
 
     instructions, lines = _workload(seed, count, config.line_bytes)
-    result = RappidDecoder(config).run(list(instructions), list(lines))
+    result = RappidDecoder(config).run(instructions, lines)
 
     chunk = int(params.get("stream_chunk", 0))
     if chunk > 0:

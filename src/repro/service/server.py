@@ -30,6 +30,9 @@ Wire protocol (one JSON object per line, both directions)::
 
 Terminal events (``rejected`` / ``result`` / ``error`` / ``cancelled``)
 carry the request's full decision trace (:mod:`repro.service.trace`).
+A frame that is not a JSON object, or is longer than 64 KiB, gets a
+``{"event": "protocol-error", "error": str}`` reply and is skipped; the
+session goes on reading the next line.
 Sessions are independent: a client that disconnects mid-stream only
 withdraws its own queued requests and orphans its in-flight ones (the
 batch finishes -- engine work is not interruptible -- and the results
@@ -59,6 +62,25 @@ from repro.service.batcher import Batch, Batcher
 from repro.service.scheduler import Entry, FairScheduler
 
 _CLOSE = object()  # writer-task sentinel
+
+#: Longest frame a session reads (asyncio's default stream limit).
+_STREAM_LIMIT = 2**16
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Skip the rest of an over-long frame, through its newline.
+
+    ``readuntil`` leaves the buffer as it was when it overruns the
+    limit, and the error's ``consumed`` is the newline's offset, or the
+    whole buffer when no newline has arrived yet.  Dropping that many
+    bytes and reading again skips a frame however many chunks it spans.
+    """
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
 
 
 def _tenant_weight(weight: Any) -> float:
@@ -175,7 +197,10 @@ class DecodeService:
         )
         self._lane_sem = asyncio.Semaphore(self.config.engine_lanes)
         self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+            self._handle_client,
+            self.config.host,
+            self.config.port,
+            limit=_STREAM_LIMIT,
         )
         if self._auto_dispatch:
             self._dispatcher = asyncio.create_task(self._dispatch_loop())
@@ -248,7 +273,20 @@ class DecodeService:
         session.writer_task = asyncio.create_task(self._write_loop(session))
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # the unterminated frame before EOF
+                except asyncio.LimitOverrunError:
+                    await _discard_line(reader)
+                    session.post(
+                        {
+                            "event": "protocol-error",
+                            "error": "frame longer than the stream limit "
+                            f"of {_STREAM_LIMIT} bytes",
+                        }
+                    )
+                    continue
                 if not line:
                     break
                 line = line.strip()

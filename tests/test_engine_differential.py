@@ -3,12 +3,13 @@
 Every optimised path introduced by :mod:`repro.engine` keeps its
 pre-engine implementation around (``_reference_build_reachability_graph``,
 ``_ReferenceEventDrivenSimulator``, ``RappidDecoder._reference_run``,
-``_reference_value_at``).  These tests drive both sides with seeded random
+``WorkloadGenerator._reference_instructions``, ``_reference_value_at``).  These tests drive both sides with seeded random
 inputs -- bounded Petri nets, gate netlists, RAPPID workloads -- and
 assert the results are identical: same markings in the same order, same
 edges, same waveforms, same raised errors.
 """
 
+import gc
 import math
 import random
 
@@ -33,8 +34,9 @@ from repro.petrinet.reachability import (
     build_reachability_graph,
     explore,
 )
+from repro.rappid.isa import InstructionClass, LengthClass, class_of_length
 from repro.rappid.microarch import RappidConfig, RappidDecoder
-from repro.rappid.workload import WorkloadGenerator
+from repro.rappid.workload import CacheLine, Instruction, WorkloadGenerator
 
 PETRI_SEEDS = range(60)
 NETLIST_SEEDS = range(60)
@@ -1277,6 +1279,129 @@ class TestPrefetchDepthValidation:
         decoder = RappidDecoder(RappidConfig(prefetch_depth=0))
         with pytest.raises(ValueError):
             decoder.run([], [])
+
+
+class TestRappidReferenceCycles:
+    """A run frees its per-line state by reference counting alone."""
+
+    def test_runs_leave_no_cyclic_garbage(self):
+        # 11-byte instructions over 8-byte lines leave lines in which no
+        # instruction starts, so the recursive arrival path runs too.
+        generator = WorkloadGenerator(seed=1, line_bytes=8)
+        instructions = generator.fixed_length_instructions(300, 11)
+        lines = generator.cache_lines(instructions)
+        decoder = RappidDecoder(RappidConfig(line_bytes=8))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for runner in (decoder.run, decoder._reference_run):
+                runner(instructions, lines)
+                assert gc.collect() == 0, runner.__name__
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Columnar instruction streams vs the per-object generator oracle
+# ---------------------------------------------------------------------------
+
+
+def _grouped_lines(instructions, line_bytes):
+    """The per-object cache-line grouping the lazy ``CacheLines`` replaced."""
+    if not instructions:
+        return []
+    last = instructions[-1]
+    count = (last.start_byte + last.length + line_bytes - 1) // line_bytes
+    lines = [CacheLine(index=i) for i in range(count)]
+    for instruction in instructions:
+        lines[instruction.line_of(line_bytes)].instructions.append(instruction)
+    return lines
+
+
+class TestInstructionStreamDifferential:
+    @pytest.mark.parametrize("size", [0, 1, 400])
+    @pytest.mark.parametrize("line_bytes", [8, 16, 32])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stream_matches_reference_generator(self, seed, line_bytes, size):
+        columnar = WorkloadGenerator(seed=seed, line_bytes=line_bytes)
+        oracle = WorkloadGenerator(seed=seed, line_bytes=line_bytes)
+        stream, lines = columnar.workload(size)
+        expected = oracle._reference_instructions(size)
+        assert len(stream) == size
+        assert list(stream) == expected
+        # Same number of draws: the generators' next rolls agree.
+        assert columnar._rng.random() == oracle._rng.random()
+        grouped = _grouped_lines(expected, line_bytes)
+        assert len(lines) == len(grouped)
+        assert list(lines) == grouped
+
+    @pytest.mark.parametrize("length", range(1, 12))
+    def test_fixed_length_sweep(self, length):
+        generator = WorkloadGenerator(seed=2)
+        stream = generator.fixed_length_instructions(300, length)
+        expected = [
+            Instruction(i, length, class_of_length(length), i * length)
+            for i in range(300)
+        ]
+        assert list(stream) == expected
+        assert list(generator.cache_lines(stream)) == _grouped_lines(expected, 16)
+        # A fixed-length stream draws nothing.
+        assert generator._rng.random() == random.Random(2).random()
+
+    def test_distribution_short_of_one_clamps_to_last_bucket(self):
+        classes = [
+            LengthClass(1, InstructionClass.COMMON, 0.5),
+            LengthClass(4, InstructionClass.MODRM, 0.3),
+            LengthClass(6, InstructionClass.IMMEDIATE, 0.0),
+            LengthClass(9, InstructionClass.COMPLEX, 0.195),
+        ]
+        assert sum(c.probability for c in classes) < 0.9951
+        columnar = WorkloadGenerator(seed=5, length_classes=classes)
+        oracle = WorkloadGenerator(seed=5, length_classes=classes)
+        stream = columnar.instructions(3000)
+        assert list(stream) == oracle._reference_instructions(3000)
+        assert columnar._rng.random() == oracle._rng.random()
+        rolls = random.Random(5)
+        assert any(rolls.random() > 0.995 for _ in range(3000)), (
+            "no roll fell above the last cumulative bound"
+        )
+        assert 6 not in stream.lengths
+
+    def test_views_index_like_lists(self):
+        generator = WorkloadGenerator(seed=9)
+        stream, lines = generator.workload(400)
+        expected = WorkloadGenerator(seed=9)._reference_instructions(400)
+        grouped = _grouped_lines(expected, 16)
+        assert stream[-1] == expected[-1]
+        assert stream[-400] == expected[0]
+        assert stream[3:40:7] == expected[3:40:7]
+        assert lines[-1] == grouped[-1]
+        assert lines[2:9] == grouped[2:9]
+        for view, size in ((stream, 400), (lines, len(grouped))):
+            with pytest.raises(IndexError):
+                view[size]
+            with pytest.raises(IndexError):
+                view[-size - 1]
+
+    @pytest.mark.parametrize("prefetch_depth", [1, 2])
+    @pytest.mark.parametrize("line_bytes", [8, 16, 32])
+    def test_run_reads_streams_and_lists_alike(self, line_bytes, prefetch_depth):
+        generator = WorkloadGenerator(
+            seed=line_bytes + prefetch_depth, line_bytes=line_bytes
+        )
+        stream, lines = generator.workload(400)
+        decoder = RappidDecoder(
+            RappidConfig(line_bytes=line_bytes, prefetch_depth=prefetch_depth)
+        )
+        columnar = decoder.run(stream, lines)
+        marshalled = decoder.run(list(stream), list(lines))
+        reference = decoder._reference_run(list(stream), list(lines))
+        assert _rappid_signature(columnar) == _rappid_signature(marshalled)
+        assert _rappid_signature(columnar) == _rappid_signature(reference)
+        assert columnar.energy_pj == marshalled.energy_pj
+        assert math.isclose(columnar.energy_pj, reference.energy_pj, rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------

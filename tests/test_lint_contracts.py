@@ -6,8 +6,9 @@ the petrinet package is differentially pinned against the full-graph
 oracle, engine modules never draw from module-global RNG state, pool
 dispatch call sites never hide worker application errors behind broad
 exception catches, service handlers reach the engine only through
-vetted entry points, and gate opcodes are dispatched only by the
-kernel's one evaluator and drain.  Each rule is proven to fire on synthetic
+vetted entry points, gate opcodes are dispatched only by the
+kernel's one evaluator and drain, and engine/RAPPID code holds no
+self-calling closures.  Each rule is proven to fire on synthetic
 violations and to stay quiet on the real tree (the same invocation
 ``scripts/check.sh`` runs).
 """
@@ -222,6 +223,72 @@ class TestGateDispatchRule:
             """,
         )
         assert lint_contracts.check_gate_dispatch(engine) == []
+
+
+class TestClosureSelfReferenceRule:
+    def test_self_calling_nested_def_reported(self, tmp_path):
+        src = tmp_path / "src"
+        module = write(
+            src / "rappid" / "model.py",
+            """\
+            def run(lines):
+                arrival = {}
+
+                def arrival_of(line):
+                    if line not in arrival:
+                        arrival[line] = arrival_of(line - 1) if line else 0.0
+                    return arrival[line]
+
+                return [arrival_of(line) for line in lines]
+            """,
+        )
+        findings = lint_contracts.check_closure_self_reference([src / "rappid"])
+        assert [(f.rule, f.line) for f in findings] == [
+            ("closure-self-reference", 4)
+        ]
+        assert "arrival_of" in findings[0].message
+        assert findings[0].describe().startswith(f"{module}:4:")
+        assert len(lint_contracts.run(src, tmp_path / "engine", tmp_path / "t.py")) == 1
+
+    def test_engine_root_is_scanned(self, tmp_path):
+        engine = tmp_path / "engine"
+        write(
+            engine / "walk.py",
+            """\
+            class Walker:
+                def walk(self, node):
+                    def visit(n):
+                        return [visit(c) for c in n.children]
+                    return visit(node)
+            """,
+        )
+        findings = lint_contracts.run(tmp_path / "src", engine, tmp_path / "t.py")
+        assert [(f.rule, f.line) for f in findings] == [("closure-self-reference", 3)]
+
+    def test_module_level_recursion_and_plain_closures_pass(self, tmp_path):
+        engine = tmp_path / "engine"
+        write(
+            engine / "ok.py",
+            """\
+            def arrival_of(line, arrival):
+                if line not in arrival:
+                    arrival[line] = arrival_of(line - 1, arrival) if line else 0.0
+                return arrival[line]
+
+            class Walker:
+                def walk(self, node):
+                    return [self.walk(c) for c in node.children]
+
+            def run(lines):
+                arrival = {}
+
+                def lookup(line):
+                    return arrival_of(line, arrival)
+
+                return [lookup(line) for line in lines]
+            """,
+        )
+        assert lint_contracts.check_closure_self_reference([engine]) == []
 
 
 class TestDispatchCatchRule:

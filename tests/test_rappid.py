@@ -14,6 +14,7 @@ from repro.rappid import (
 )
 from repro.rappid.isa import (
     InstructionClass,
+    LengthClass,
     decode_latency_ps,
     tag_latency_ps,
     validate_distribution,
@@ -60,6 +61,15 @@ class TestWorkload:
         stats = generator.statistics(instructions)
         assert 2.0 < stats["mean_length"] < 5.0
         assert stats["instructions_per_line"] > 3.0
+
+    def test_negative_probability_rejected(self):
+        """Bucket picks bisect the running sum, which must not decrease."""
+        classes = [
+            LengthClass(1, InstructionClass.COMMON, 1.1),
+            LengthClass(2, InstructionClass.COMMON, -0.1),
+        ]
+        with pytest.raises(ValueError, match="non-negative"):
+            WorkloadGenerator(length_classes=classes)
 
     def test_fixed_length_stream(self):
         generator = WorkloadGenerator(seed=0)

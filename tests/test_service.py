@@ -249,6 +249,33 @@ class TestMalformedFrames:
         assert pong == {"event": "pong"}
 
 
+    def test_over_long_line_gets_a_reply_and_the_session_lives_on(self):
+        """A 70 KiB line overruns the 64 KiB stream limit without a hang-up."""
+
+        async def scenario():
+            service = DecodeService(ServiceConfig())
+            host, port = await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    writer.write(b'{"op": "ping", "pad": "' + b"x" * 70 * 1024)
+                    writer.write(b'"}\n{"op": "ping"}\n')
+                    await writer.drain()
+                    return [
+                        json.loads(await asyncio.wait_for(reader.readline(), 10))
+                        for _ in range(2)
+                    ]
+                finally:
+                    writer.close()
+            finally:
+                await service.shutdown()
+
+        reply, pong = asyncio.run(scenario())
+        assert reply["event"] == "protocol-error"
+        assert "limit" in reply["error"]
+        assert pong == {"event": "pong"}
+
+
 class TestDeterministicInterleaving:
     #: (tenant index, capability, params) arrival script shared by runs.
     #: With unit costs, WFQ orders these by (virtual finish, seq):
