@@ -65,6 +65,14 @@ contract.  This lint makes them mechanical:
     analyses outside the engine (``repro.analysis``) read opcodes to
     reason about gates without simulating them and are not scanned.
 
+``period-hunt-single-owner``
+    Periodic steady-state extrapolation has one owner:
+    ``engine/simkernel.py``'s ``_PeriodHunt``, shared by the simulator
+    and the fault engine.  Any other engine module calling
+    ``relative_snapshot(`` (the queue's shift-invariant key, the hunt's
+    core) is growing a second period hunt whose exactness conditions
+    nothing keeps in step with the first; arm the kernel's hunt instead.
+
 ``closure-self-reference``
     A nested ``def`` under ``src/repro/engine`` or ``src/repro/rappid``
     that calls itself by name reaches itself through its own closure
@@ -441,6 +449,35 @@ def check_gate_dispatch(engine_root: Path) -> List[Finding]:
     return findings
 
 
+def check_period_hunt(engine_root: Path) -> List[Finding]:
+    """``period-hunt-single-owner``: queue snapshots outside simkernel.py."""
+    findings: List[Finding] = []
+    for path in sorted(engine_root.rglob("*.py")):
+        if path.relative_to(engine_root).as_posix() == "simkernel.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (
+                func.attr
+                if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)
+            )
+            if name == "relative_snapshot":
+                findings.append(
+                    Finding(
+                        path,
+                        node.lineno,
+                        "period-hunt-single-owner",
+                        "relative_snapshot() outside engine/simkernel.py "
+                        "grows a second period hunt; arm "
+                        "simkernel._PeriodHunt instead",
+                    )
+                )
+    return findings
+
+
 def _nested_defs(node: ast.AST, inside: bool = False):
     """Every ``def`` nested in another function's body, outermost first."""
     for child in ast.iter_child_nodes(node):
@@ -483,6 +520,7 @@ def run(src_root: Path, engine_root: Path, differential_test: Path) -> List[Find
     )
     findings.extend(check_engine_rng(engine_root))
     findings.extend(check_gate_dispatch(engine_root))
+    findings.extend(check_period_hunt(engine_root))
     findings.extend(
         check_closure_self_reference(
             [root for root in (engine_root, src_root / "rappid") if root.is_dir()]
@@ -504,8 +542,8 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--engine", type=Path, default=None,
-        help="engine package checked for unpinned RNG, gate dispatch and "
-        "recursive closures (default: <src>/engine)",
+        help="engine package checked for unpinned RNG, gate dispatch, "
+        "period hunts and recursive closures (default: <src>/engine)",
     )
     parser.add_argument(
         "--differential-test", type=Path,

@@ -42,10 +42,13 @@ def campaign_params(
     dataclasses, tuples); everything is flattened to plain tuples so two
     equal configurations key identically.
     """
+    # A net only ever takes 0 or 1, and HandshakeEnvironment matches the
+    # trigger value with ``==``: any other value is kept as -1, which the
+    # rule compiler never fires.
     rules = tuple(
         (
             rule.trigger,
-            int(bool(rule.trigger_value)),
+            1 if rule.trigger_value == 1 else 0 if rule.trigger_value == 0 else -1,
             rule.target,
             int(bool(rule.target_value)),
             float(rule.delay_ps),

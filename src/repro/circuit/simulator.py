@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import analysis as _analysis
 from repro.circuit.netlist import GateInstance, Netlist, NetlistError
 from repro.engine.events import CompiledNetlist
 from repro.engine.simkernel import SimKernel
@@ -71,6 +72,10 @@ class SimulationTrace:
     event_count: int
 
     def transition_count(self, net: str) -> int:
+        # Columnar traces count without materialising the waveform.
+        fast_count = getattr(self.waveforms, "transition_count", None)
+        if fast_count is not None:
+            return fast_count(net)
         waveform = self.waveforms.get(net)
         return waveform.transition_count() if waveform else 0
 
@@ -179,10 +184,23 @@ class EventDrivenSimulator:
     behaviour -- commit order, waveforms, RNG draw order under jitter --
     is identical to the retained :class:`_ReferenceEventDrivenSimulator`.
 
+    Without ``compiled``, the netlist's compilation comes from the
+    analysis manager's ``"compile"`` pass (validated when computed), so
+    simulators built over one unchanged netlist compile it once.  A lone
+    :class:`HandshakeEnvironment` (exactly that class; a subclass may
+    override ``on_change``) runs as compiled rules inside the kernel
+    with the same RNG draws; any other environment is called back per
+    committed change.  A run with no callback environment, no jitter, a
+    ``duration_ps`` and integral delays and stimulus times is exactly
+    periodic once it settles: the kernel's period hunt then appends
+    whole periods of waveform instead of simulating them, with
+    ``event_count``, ``time`` and every waveform unchanged (a
+    ``max_events`` cap inside such a span is still met event by event).
+
     Two hooks serve the batch fault-simulation engine
     (:mod:`repro.engine.faultsim`) and anyone else sweeping many variants
     of one circuit: ``compiled`` reuses an existing
-    :class:`~repro.engine.events.CompiledNetlist` instead of recompiling
+    :class:`~repro.engine.events.CompiledNetlist` instead of compiling
     (compilation enumerates every gate's truth table and dominates
     construction cost for complex-gate netlists), and ``stuck_at`` pins
     one net to a constant through a compiled-table overlay -- the net's
@@ -202,8 +220,11 @@ class EventDrivenSimulator:
         stuck_at: Optional[Tuple[str, int]] = None,
     ) -> None:
         if compiled is None:
-            netlist.validate()
-            compiled = CompiledNetlist(netlist)
+            if hasattr(netlist, "analysis_fingerprint"):
+                compiled = _analysis.get(netlist, "compile")
+            else:
+                netlist.validate()
+                compiled = CompiledNetlist(netlist)
         self.netlist = netlist
         self.environments = list(environments or [])
         self.delay_jitter = delay_jitter

@@ -62,8 +62,9 @@ behind the rewritten :func:`repro.testability.simulation.simulate_faults`:
   reports the oscillation error immediately, or retires as an
   observable difference without simulating the remaining cycles (at
   most one partial tail cycle runs when ``max_events`` lands inside
-  it).  The hunt (:class:`_PeriodHunt`, which the drain visits only
-  for copies it is given golden counts for) samples every eighth
+  it).  The hunt (the kernel's
+  :class:`~repro.engine.simkernel._PeriodHunt`, armed here only for
+  copies compared against golden counts) samples every eighth
   delta-cycle batch: a periodic
   orbit still repeats a sampled snapshot within a bounded number of
   periods (the measured repeat is then a whole multiple of the
@@ -122,10 +123,13 @@ from repro.engine import pool
 from repro.engine import resilience as _resilience
 from repro.engine.events import BatchEventQueue, CompiledNetlist
 from repro.engine.simkernel import (
+    _compile_rules,
+    _exact_integer,
+    _PeriodHunt,
     drain,
     eval_gate,
-    oscillation_error,
     pack_fanout_tables,
+    rule_triggers,
     settle,
 )
 
@@ -142,50 +146,6 @@ REASON_ABNORMAL = "abnormal behaviour"
 # the sweep (unpickle + golden adoption) exactly once.
 _SWEEP_CACHE_MAX = 4
 _SWEEP_CACHE: Dict[str, "_FaultSweep"] = {}
-
-_NO_RULES: Tuple = ()
-
-# Cap on the number of (state, queue) snapshots kept while hunting for a
-# period in a diverged copy; aperiodic copies stop snapshotting past it
-# and simply drain in full.
-_CYCLE_SNAPSHOT_MAX = 20_000
-
-
-def _exact_integer(value: float) -> bool:
-    """True when ``value`` is an integer exactly representable as a double."""
-    return value == int(value) and abs(value) < 2.0**53
-
-
-def _compile_rules(rules, net_index: Dict[str, int], num_nets: int):
-    """Handshake rules as a flat jump table indexed by ``slot * 2 + value``.
-
-    Preserves the reference environment's semantics exactly: for each
-    committed change every matching rule fires in declaration order.  A
-    rule triggered by a net the netlist does not have can never fire; a
-    rule *targeting* an unknown net keeps the name so the fire-time
-    error matches ``EventDrivenSimulator.schedule``.
-    """
-    table: List[Tuple[Tuple[int, int, float, str], ...]] = [
-        _NO_RULES for _ in range(2 * num_nets)
-    ]
-    grouped: Dict[int, List[Tuple[int, int, float, str]]] = {}
-    for rule in rules:
-        trigger_slot = net_index.get(rule.trigger)
-        if trigger_slot is None:
-            continue
-        key = trigger_slot * 2 + int(bool(rule.trigger_value))
-        grouped.setdefault(key, []).append(
-            (
-                net_index.get(rule.target, -1),
-                int(bool(rule.target_value)),
-                float(rule.delay_ps),
-                rule.target,
-            )
-        )
-    for key, entries in grouped.items():
-        table[key] = tuple(entries)
-    return table
-
 
 class _FaultSweep:
     """Golden run plus a batch of fault copies over one compiled netlist.
@@ -256,10 +216,7 @@ class _FaultSweep:
         self.golden_events = golden_events
         self.limit = float("inf") if duration_ps is None else duration_ps
         self._packed_base = None
-        self._reacts = bytes(
-            1 if (rules_by[i + i] or rules_by[i + i + 1]) else 0
-            for i in range(len(compiled.net_names))
-        )
+        self._reacts = rule_triggers(rules_by)
         self.rng_states: List[Optional[Tuple]] = []
         self.golden_rng_state = None
         # Every event time is a sum of stimulus times and gate/rule
@@ -826,7 +783,9 @@ class _FaultSweep:
             base = self._packed_base = _analysis.get(self.compiled, "packed-fanout")
         hunt = None
         if golden_counts is not None and self.integral_times and not self.jittered:
-            hunt = _PeriodHunt(self, vals, pend, gstate, queue, golden_counts)
+            hunt = _PeriodHunt(
+                vals, pend, gstate, queue, self.limit, self.max_events, golden_counts
+            )
         processed, diverged = drain(
             pack_fanout_tables(self.compiled, gate_op, gate_row, base),
             self.compiled.gate_call,
@@ -853,157 +812,6 @@ class _FaultSweep:
         self.last_processed = processed
         finals = tuple(vals[slot] for slot in self.obs_slots)
         return finals, tuple(counts), diverged
-
-
-class _PeriodHunt:
-    """Period detection and exact extrapolation for one fault copy's drain.
-
-    Visited by :func:`~repro.engine.simkernel.drain` at the top of every
-    eighth batch.  Snapshots map ``(state, relative queue)`` to
-    ``(processed, time, observable counts)``; oversized queues (event
-    avalanches never become periodic) are not snapshotted, and past
-    ``_CYCLE_SNAPSHOT_MAX`` entries aperiodic copies stop paying for it.
-    """
-
-    __slots__ = (
-        "vals",
-        "pend",
-        "gstate",
-        "queue",
-        "limit",
-        "max_events",
-        "golden_counts",
-        "queue_cap",
-        "snapshots",
-    )
-
-    def __init__(self, sweep, vals, pend, gstate, queue, golden_counts) -> None:
-        self.vals = vals
-        self.pend = pend
-        self.gstate = gstate
-        self.queue = queue
-        self.limit = sweep.limit
-        self.max_events = sweep.max_events
-        self.golden_counts = golden_counts
-        self.queue_cap = 8 * len(sweep.compiled.net_names) + 64
-        self.snapshots: Dict = {}
-
-    def visit(
-        self, processed: int, now: float, counts: List[int], diverged: bool
-    ) -> Optional[Tuple[int, bool, bool]]:
-        """Snapshot this batch top; extrapolate once the trajectory repeats.
-
-        Returns ``None`` while no period is known, else ``(events
-        skipped, divergence committed, nothing left to run)`` from
-        :meth:`_extrapolate`.
-        """
-        snapshots = self.snapshots
-        if (
-            len(self.queue) > self.queue_cap
-            or len(snapshots) >= _CYCLE_SNAPSHOT_MAX
-        ):
-            return None
-        # Two-level key: the flat state bytes are cheap to build; the
-        # relative queue tuple (sorting, nested tuples) is only built
-        # when the flat state has been seen before -- i.e. when a repeat
-        # is plausible.  A fresh flat state is stored without its queue;
-        # the first revisit anchors the entry with the queue seen then
-        # (which, for a periodic orbit, is already the orbit's queue
-        # even when the flat state also occurred during the transient);
-        # later revisits compare exactly.  A key whose anchor keeps
-        # mismatching is phase aliasing (the flat state recurs with
-        # distinct queues), not a period: blacklist it so non-periodic
-        # copies stop paying for queue snapshots.
-        cheap_key = bytes(self.vals) + bytes(self.pend) + bytes(self.gstate)
-        seen = snapshots.get(cheap_key)
-        if seen is None:
-            snapshots[cheap_key] = (processed, now, tuple(counts), None, 0)
-            return None
-        if seen is False:
-            return None
-        seen_processed, seen_time, seen_counts, seen_queue, misses = seen
-        queue_rel = self.queue.relative_snapshot(now)
-        if seen_queue is None:
-            snapshots[cheap_key] = (processed, now, tuple(counts), queue_rel, 0)
-        elif queue_rel == seen_queue:
-            period = now - seen_time
-            period_events = processed - seen_processed
-            if period > 0 and period_events > 0:
-                return self._extrapolate(
-                    processed, now, period, period_events, counts, seen_counts,
-                    diverged,
-                )
-        elif misses >= 7:
-            snapshots[cheap_key] = False
-        else:
-            snapshots[cheap_key] = seen[:4] + (misses + 1,)
-        return None
-
-    def _extrapolate(
-        self,
-        processed: int,
-        now: float,
-        period: float,
-        period_events: int,
-        counts: List[int],
-        seen_counts: Tuple[int, ...],
-        diverged: bool,
-    ) -> Tuple[int, bool, bool]:
-        """Resolve a copy whose trajectory proved periodic.
-
-        From the repeat point the evolution is shift-invariant (all times
-        are exact integers), so everything the verdict depends on
-        extrapolates exactly: the event count at the time limit, and the
-        per-observable commit counts (each cycle commits the identical
-        observable transitions, so counts advance by the observed
-        per-period delta).  Raises the reference oscillation error when
-        ``max_events`` is provably crossed within the cycles that fit.
-        When detection is committed (already diverged, or the
-        extrapolated counts provably exceed the golden ones) *and* the
-        cap is provably unreachable, the verdict no longer depends on
-        the final state: nothing is left to simulate.  Otherwise shifts
-        the queue forward in place by every whole period that fits and
-        advances ``counts`` accordingly; the drain then runs the
-        remaining partial tail (less than one period) exactly -- that
-        covers an ambiguous cap landing inside the tail as well as the
-        final observable state of an undetected copy.
-        """
-        max_events = self.max_events
-        limit = self.limit
-        if limit == float("inf"):
-            # Periodic with events per period > 0 and no time limit: the
-            # event cap is crossed with certainty.
-            raise oscillation_error(max_events)
-        full_cycles = int((limit - now) // period)
-        # Guard the float floor-division against a non-integral limit:
-        # every period must fit entirely at or before the limit.
-        while full_cycles > 0 and now + full_cycles * period > limit:
-            full_cycles -= 1
-        total_after = processed + full_cycles * period_events
-        if total_after > max_events:
-            raise oscillation_error(max_events)
-        delta = [count - seen for count, seen in zip(counts, seen_counts)]
-        golden_counts = self.golden_counts
-        will_diverge = diverged or any(
-            counts[index] + full_cycles * delta[index] > golden_counts[index]
-            for index in range(len(counts))
-        )
-        if will_diverge and total_after + period_events <= max_events:
-            # Even a whole extra cycle cannot reach the cap (the
-            # remaining tail is at most a partial cycle): fully resolved.
-            return 0, True, True
-        shift = full_cycles * period
-        if shift:
-            queue = self.queue
-            shifted = {
-                time + shift: bucket for time, bucket in queue._buckets.items()
-            }
-            queue._buckets.clear()
-            queue._buckets.update(shifted)
-            queue._times[:] = [time + shift for time in queue._times]
-            for index, step in enumerate(delta):
-                counts[index] += full_cycles * step
-        return full_cycles * period_events, will_diverge, False
 
 
 # Flattened handshake rule (repro.analysis.compilecache.campaign_params

@@ -30,22 +30,34 @@ delta-cycle semantics defined here, over the flat structures prepared by
   table gates demoted to arity-specialised private opcodes that index
   their row with one unrolled expression, and a one-entry cache of the
   last push target replaces most bucket probes.
+* **One rule compiler and one period hunt.**  :func:`_compile_rules`
+  turns handshake rules into the drain's jump table, and
+  :class:`_PeriodHunt` detects an exactly periodic trajectory (equal
+  state planes and equal queue relative to the batch time) and skips
+  every whole period that fits before the time limit -- exact when
+  every event time is an integer-valued double.
 
 The drain's callers add only what they observe.  :class:`SimKernel`
 records every commit into per-net flat ``array('d')`` time /
 ``array('b')`` value columns (materialised lazily as ``Waveform``
-objects by :class:`LazyWaveforms`) and calls each
-``Environment.on_change``; a fault copy counts commits on its observable
-nets, fires compiled handshake rules, and hands the drain its golden
-counts (divergence), the provable event-cap shortcut and a period hunt
-(see :mod:`repro.engine.faultsim`).
+objects by :class:`LazyWaveforms`).  A lone ``HandshakeEnvironment``
+runs as compiled rules; any other environment gets its
+``Environment.on_change`` called.  With no callback, no jitter, a time
+limit and exact-integer times the kernel arms the period hunt, which
+then appends whole periods of columns instead of simulating them.  A
+fault copy counts commits on its observable nets, fires compiled
+handshake rules, and hands the drain its golden counts (divergence),
+the provable event-cap shortcut and a period hunt over its counts (see
+:mod:`repro.engine.faultsim`).
 
 Observable behaviour -- commit order, waveform changes, ``value_at``,
-event counts, RNG draw order under jitter, raised errors -- is
-bit-identical to ``_ReferenceEventDrivenSimulator``; the differential
-suite (``tests/test_engine_differential.py``) enforces this over seeded
-random netlists, the synthesized FIFO fixtures, and adversarial
-same-timestamp glitch cases, and pins every fault campaign against
+event counts, end and simulator times, RNG draw order under jitter,
+raised errors and the state they leave -- is bit-identical to
+``_ReferenceEventDrivenSimulator``; the differential suite
+(``tests/test_engine_differential.py``) enforces this over seeded
+random netlists, the synthesized FIFO fixtures, extrapolated FIFO
+chains and ring oscillators, and adversarial same-timestamp glitch
+cases, and pins every fault campaign against
 ``_reference_simulate_faults``.
 
 The kernel also accepts a *stuck-at overlay* (``overlay=(net slot,
@@ -90,9 +102,25 @@ _OP_TABLE5 = -5
 _OP_TABLE6 = -6
 
 _INF = float("inf")
+# Doubles represent every integer below this exactly.
+_EXACT_BOUND = 2.0**53
 # Delay fields of a packed fanout entry and of a compiled handshake rule.
 _GATE_DELAY = itemgetter(5)
 _RULE_DELAY = itemgetter(2)
+
+_NO_RULES: Tuple = ()
+
+# Cap on the number of (state, queue) snapshots one period hunt keeps,
+# and on their approximate footprint (three state bytes per net plus
+# per-entry overhead); aperiodic trajectories stop snapshotting past it
+# and simply drain in full.
+_CYCLE_SNAPSHOT_MAX = 20_000
+_SNAPSHOT_BYTES = 16 << 20
+
+# A recorded run's hunt returns this when the extrapolated span would
+# cross ``max_events``: nothing skipped, hunt dropped, and the drain
+# reaches the cap event by event, leaving the reference's state behind.
+_STAND_DOWN = (0, 0.0, False, False)
 
 
 def oscillation_error(max_events: int) -> RuntimeError:
@@ -100,6 +128,51 @@ def oscillation_error(max_events: int) -> RuntimeError:
     return RuntimeError(
         f"simulation exceeded {max_events} events; "
         "the circuit is probably oscillating"
+    )
+
+
+def _exact_integer(value: float) -> bool:
+    """True when ``value`` is an integer exactly representable as a double."""
+    return abs(value) < _EXACT_BOUND and value == int(value)
+
+
+def _compile_rules(rules, net_index: Dict[str, int], num_nets: int):
+    """Handshake rules as a flat jump table indexed by ``slot * 2 + value``.
+
+    Preserves ``HandshakeEnvironment.on_change`` exactly: for each
+    committed change every matching rule fires in declaration order.  A
+    rule triggered by a net the netlist does not have, or by a value a
+    net never takes (neither 0 nor 1), can never fire; a rule
+    *targeting* an unknown net keeps the name so the fire-time error
+    matches ``EventDrivenSimulator.schedule``.
+    """
+    table: List[Tuple[Tuple[int, int, float, str], ...]] = [
+        _NO_RULES for _ in range(2 * num_nets)
+    ]
+    grouped: Dict[int, List[Tuple[int, int, float, str]]] = {}
+    for rule in rules:
+        trigger_slot = net_index.get(rule.trigger)
+        if trigger_slot is None or rule.trigger_value not in (0, 1):
+            continue
+        key = trigger_slot * 2 + (1 if rule.trigger_value == 1 else 0)
+        grouped.setdefault(key, []).append(
+            (
+                net_index.get(rule.target, -1),
+                int(bool(rule.target_value)),
+                float(rule.delay_ps),
+                rule.target,
+            )
+        )
+    for key, entries in grouped.items():
+        table[key] = tuple(entries)
+    return table
+
+
+def rule_triggers(rules_by: Sequence[Tuple]) -> bytes:
+    """The drain's ``reacts`` mask for a compiled rule table: trigger nets."""
+    return bytes(
+        1 if (rules_by[i] or rules_by[i + 1]) else 0
+        for i in range(0, len(rules_by), 2)
     )
 
 
@@ -290,6 +363,7 @@ def drain(
     # dict probe.  None never compares equal to a float time.
     cached_time = None
     cached_nets = cached_vals = None
+    in_batch = False
     try:
         while qcount:
             batch_time = heap_times[0]
@@ -317,9 +391,9 @@ def drain(
                         # The trajectory is periodic: either nothing is
                         # left to run, or whole periods were skipped
                         # (queue shifted, so the cached push target is
-                        # stale, and counts advanced in place) and the
-                        # partial tail drains exactly.
-                        skipped, diverges, resolved = period
+                        # stale; counts and columns advanced in place)
+                        # and the partial tail drains exactly.
+                        skipped, shift, diverges, resolved = period
                         hunt = None
                         cached_time = None
                         if diverges:
@@ -328,6 +402,8 @@ def drain(
                         if resolved:
                             break
                         processed += skipped
+                        if simulator is not None:
+                            simulator.time += shift
                         continue
             batch_time = heappop(heap_times)
             batch_nets, batch_values = buckets.pop(batch_time)
@@ -336,21 +412,17 @@ def drain(
                 cached_time = None
             batch_size = len(batch_nets)
             qcount -= batch_size
-            if simulator is not None:
-                simulator.time = batch_time
             room = max_events - processed
+            if simulator is not None and room > 0:
+                # The reference advances its clock per processed event,
+                # after the cap check: a batch whose first event trips
+                # the cap leaves the previous time standing.
+                simulator.time = batch_time
             index = 0
+            in_batch = True
             for net_slot, value in zip(batch_nets, batch_values):
                 index += 1
                 if index > room:
-                    # The reference pops (and loses) the triggering event
-                    # but leaves the rest in its heap; requeue the batch
-                    # remainder so post-exception state matches.
-                    queue._count = qcount
-                    queue.push_front(
-                        batch_time, batch_nets[index:], batch_values[index:]
-                    )
-                    qcount = queue._count
                     raise oscillation_error(max_events)
                 if vals[net_slot] == value:
                     continue
@@ -446,9 +518,14 @@ def drain(
                     if environments:
                         queue._count = qcount
                         net = net_names[net_slot]
-                        for environment in environments:
-                            environment.on_change(simulator, net, value, batch_time)
-                        qcount = queue._count
+                        try:
+                            for environment in environments:
+                                environment.on_change(
+                                    simulator, net, value, batch_time
+                                )
+                        finally:
+                            # A callback that raised may have scheduled first.
+                            qcount = queue._count
                     else:
                         for tslot, tvalue, delay, tname in rules_by[
                             net_slot + net_slot + value
@@ -495,10 +572,244 @@ def drain(
                     )
                     qcount = queue._count
                     break
+            in_batch = False
             processed += index
+    except BaseException:
+        if in_batch:
+            # The reference pops (and loses) the event that raised -- the
+            # event-cap trip, an unknown rule target, a gate or callback
+            # error -- but leaves the rest of the batch in its heap;
+            # requeue the remainder so post-exception state matches.
+            queue._count = qcount
+            queue.push_front(batch_time, batch_nets[index:], batch_values[index:])
+            qcount = queue._count
+        raise
     finally:
         queue._count = qcount
     return processed, diverged
+
+
+class _PeriodHunt:
+    """Exact periodic steady-state extrapolation for one :func:`drain` call.
+
+    Visited by the drain at the top of every eighth batch.  Snapshots
+    map ``(state, relative queue)`` to ``(processed, time, observable
+    counts, queue, misses, column lengths)``; oversized queues (event
+    avalanches never become periodic) are not snapshotted, and past
+    ``_CYCLE_SNAPSHOT_MAX`` entries (fewer on netlists so large that
+    those would exceed ``_SNAPSHOT_BYTES``) aperiodic runs stop paying
+    for it.
+
+    Exactness needs every event time to be an exactly-representable
+    integer (integral delays and stimuli, no jitter draws, no Python
+    callbacks) -- then a repeated snapshot proves the trajectory from
+    there on is the window since the earlier snapshot, shifted by whole
+    periods.  Two users arm it:
+
+    * a fault copy (``golden_counts``): per-observable commit counts
+      extrapolate by their per-period delta, a proven ``max_events``
+      crossing raises the reference oscillation error at once, and a
+      copy whose detection is committed stops as soon as the cap is
+      provably out of reach;
+    * a recorded run (``record``, :meth:`SimKernel.drain`): the per-net
+      ``(time, value)`` column window between the two snapshots is
+      appended once per skipped period, shifted by ``k * period``.  A
+      span that would cross ``max_events`` makes the hunt stand down
+      instead, so the drain meets the cap event by event and leaves the
+      reference's post-error state.
+    """
+
+    __slots__ = (
+        "vals",
+        "pend",
+        "gstate",
+        "queue",
+        "limit",
+        "max_events",
+        "golden_counts",
+        "record",
+        "queue_cap",
+        "snapshot_cap",
+        "snapshots",
+    )
+
+    def __init__(
+        self,
+        vals,
+        pend,
+        gstate,
+        queue: BatchEventQueue,
+        limit: float,
+        max_events: int,
+        golden_counts: Optional[Tuple[int, ...]] = None,
+        record: Optional[Tuple[List[array], List[array]]] = None,
+    ) -> None:
+        self.vals = vals
+        self.pend = pend
+        self.gstate = gstate
+        self.queue = queue
+        self.limit = limit
+        self.max_events = max_events
+        self.golden_counts = golden_counts
+        self.record = record
+        self.queue_cap = 8 * len(vals) + 64
+        self.snapshot_cap = min(
+            _CYCLE_SNAPSHOT_MAX, _SNAPSHOT_BYTES // (3 * len(vals) + 200)
+        )
+        self.snapshots: Dict = {}
+
+    def visit(
+        self,
+        processed: int,
+        now: float,
+        counts: Optional[List[int]],
+        diverged: bool,
+    ) -> Optional[Tuple[int, float, bool, bool]]:
+        """Snapshot this batch top; extrapolate once the trajectory repeats.
+
+        Returns ``None`` while no period is known, else ``(events
+        skipped, time skipped, divergence committed, nothing left to
+        run)`` from :meth:`_extrapolate`; the drain drops the hunt on
+        any answer.
+        """
+        snapshots = self.snapshots
+        if (
+            len(self.queue) > self.queue_cap
+            or len(snapshots) >= self.snapshot_cap
+        ):
+            return None
+        # Two-level key: the flat state bytes are cheap to build; the
+        # relative queue tuple (sorting, nested tuples) is only built
+        # when the flat state has been seen before -- i.e. when a repeat
+        # is plausible.  A fresh flat state is stored without its queue;
+        # the first revisit anchors the entry with the queue seen then
+        # (which, for a periodic orbit, is already the orbit's queue
+        # even when the flat state also occurred during the transient);
+        # later revisits compare exactly.  A key whose anchor keeps
+        # mismatching is phase aliasing (the flat state recurs with
+        # distinct queues), not a period: blacklist it so non-periodic
+        # runs stop paying for queue snapshots.
+        cheap_key = bytes(self.vals) + bytes(self.pend) + bytes(self.gstate)
+        seen = snapshots.get(cheap_key)
+        if seen is None:
+            snapshots[cheap_key] = (
+                processed, now, None if counts is None else tuple(counts),
+                None, 0, None,
+            )
+            return None
+        if seen is False:
+            return None
+        seen_processed, seen_time, seen_counts, seen_queue, misses, lengths = seen
+        queue_rel = self.queue.relative_snapshot(now)
+        if seen_queue is None:
+            record = self.record
+            snapshots[cheap_key] = (
+                processed, now, None if counts is None else tuple(counts),
+                queue_rel, 0, None if record is None else array("q", map(len, record[0])),
+            )
+        elif queue_rel == seen_queue:
+            period = now - seen_time
+            period_events = processed - seen_processed
+            if period > 0 and period_events > 0:
+                return self._extrapolate(
+                    processed, now, period, period_events, counts, seen_counts,
+                    diverged, lengths,
+                )
+        elif misses >= 7:
+            snapshots[cheap_key] = False
+        else:
+            snapshots[cheap_key] = seen[:4] + (misses + 1, lengths)
+        return None
+
+    def _extrapolate(
+        self,
+        processed: int,
+        now: float,
+        period: float,
+        period_events: int,
+        counts: Optional[List[int]],
+        seen_counts: Optional[Tuple[int, ...]],
+        diverged: bool,
+        lengths: Optional[array],
+    ) -> Tuple[int, float, bool, bool]:
+        """Skip every whole period that fits before the time limit.
+
+        From the repeat point the evolution is shift-invariant (all times
+        are exact integers), so everything observable extrapolates
+        exactly: the event count at the time limit, per-observable
+        commit counts (each cycle commits the identical observable
+        transitions) and recorded columns (each cycle appends the
+        identical window, shifted).  For a fault copy, a ``max_events``
+        crossing within the cycles that fit raises the reference
+        oscillation error; when detection is committed (already
+        diverged, or the extrapolated counts provably exceed the golden
+        ones) *and* the cap is provably unreachable, the verdict no
+        longer depends on the final state and nothing is left to
+        simulate.  Otherwise the queue shifts forward in place by every
+        whole period that fits; the drain then runs the remaining
+        partial tail (less than one period) exactly -- that covers an
+        ambiguous cap landing inside the tail as well as the final state.
+        """
+        max_events = self.max_events
+        limit = self.limit
+        record = self.record
+        if limit == _INF:
+            # Periodic with events per period > 0 and no time limit: the
+            # event cap is crossed with certainty.
+            if record is not None:
+                return _STAND_DOWN
+            raise oscillation_error(max_events)
+        full_cycles = int((limit - now) // period)
+        # Guard the float floor-division against a non-integral limit:
+        # every period must fit entirely at or before the limit.
+        while full_cycles > 0 and now + full_cycles * period > limit:
+            full_cycles -= 1
+        total_after = processed + full_cycles * period_events
+        if total_after > max_events:
+            if record is not None:
+                return _STAND_DOWN
+            raise oscillation_error(max_events)
+        golden_counts = self.golden_counts
+        will_diverge = diverged
+        if golden_counts is not None:
+            delta = [count - seen for count, seen in zip(counts, seen_counts)]
+            will_diverge = diverged or any(
+                counts[index] + full_cycles * delta[index] > golden_counts[index]
+                for index in range(len(counts))
+            )
+            if will_diverge and total_after + period_events <= max_events:
+                # Even a whole extra cycle cannot reach the cap (the
+                # remaining tail is at most a partial cycle): fully
+                # resolved.
+                return 0, 0.0, True, True
+        shift = full_cycles * period
+        if shift:
+            queue = self.queue
+            shifted = {
+                time + shift: bucket for time, bucket in queue._buckets.items()
+            }
+            queue._buckets.clear()
+            queue._buckets.update(shifted)
+            queue._times[:] = [time + shift for time in queue._times]
+            if golden_counts is not None:
+                for index, step in enumerate(delta):
+                    counts[index] += full_cycles * step
+            if record is not None:
+                self._replicate(lengths, period, full_cycles)
+        return full_cycles * period_events, shift, will_diverge, False
+
+    def _replicate(self, lengths: array, period: float, cycles: int) -> None:
+        """Append each net's column window once per skipped period."""
+        col_times, col_values = self.record
+        offsets = [cycle * period for cycle in range(1, cycles + 1)]
+        for slot, start in enumerate(lengths):
+            times = col_times[slot]
+            if len(times) == start:
+                continue
+            window = times[start:]
+            times.extend([time + offset for offset in offsets for time in window])
+            values = col_values[slot]
+            values.extend(values[start:] * cycles)
 
 
 class LazyWaveforms(Mapping):
@@ -557,6 +868,11 @@ class LazyWaveforms(Mapping):
 
     def __repr__(self) -> str:
         return f"LazyWaveforms({len(self._net_names)} nets)"
+
+    def transition_count(self, net: str) -> int:
+        """One net's transition count, read off its column (0 if unknown)."""
+        slot = self._net_index.get(net)
+        return 0 if slot is None else len(self._times[slot]) - 1
 
     def total_transitions(self) -> int:
         """Sum of per-net transition counts, read off the raw columns.
@@ -691,26 +1007,96 @@ class SimKernel:
         end_time: Optional[float],
         max_events: int,
     ) -> None:
-        """Run :func:`drain` with waveform recording and environment callbacks.
+        """Run :func:`drain` with waveform recording and environment reactions.
 
         ``simulator`` is the owning ``EventDrivenSimulator``: its ``time``
         attribute follows the batch time (all events in a batch share
-        it) and it is what environment callbacks receive.
+        it) and it is what environment callbacks receive.  A lone
+        ``HandshakeEnvironment`` (exactly that class: a subclass may
+        override ``on_change``) is compiled into the drain's rule jump
+        table, its jitter drawing from the environment's own RNG in
+        ``on_change`` order; any other environment keeps the callback
+        path.  With no callback left, no jitter, a time limit and
+        exact-integer times the period hunt is armed (see
+        :meth:`_period_hunt`).
         """
+        compiled = self.compiled
+        num_nets = len(compiled.net_names)
+        rules_by: Sequence[Tuple] = ()
+        env_jitter = 0.0
+        env_uniform = None
+        reacts = (b"\x01" if environments else b"\x00") * num_nets
+        if len(environments) == 1:
+            from repro.circuit.simulator import HandshakeEnvironment
+
+            environment = environments[0]
+            if type(environment) is HandshakeEnvironment:
+                try:
+                    rules_by = _compile_rules(
+                        environment.rules, compiled.net_index, num_nets
+                    )
+                except (TypeError, ValueError):
+                    # A malformed rule (unhashable net, non-numeric
+                    # delay) fails only when it fires in on_change.
+                    rules_by = ()
+                else:
+                    env_jitter = environment.jitter
+                    env_uniform = environment._rng.uniform
+                    reacts = rule_triggers(rules_by)
+                    environments = ()
+        limit = _INF if end_time is None else end_time
+        hunt = None
+        if not environments and not self.delay_jitter > 0 and not env_jitter > 0:
+            hunt = self._period_hunt(rules_by, limit, max_events)
         drain(
             self.packed,
-            self.compiled.gate_call,
+            compiled.gate_call,
             self.values,
             self.pending,
             self.gate_state,
             self.queue,
             max_events=max_events,
-            reacts=(b"\x01" if environments else b"\x00") * len(self.values),
-            limit=_INF if end_time is None else end_time,
+            reacts=reacts,
+            limit=limit,
             jitter=self.delay_jitter,
             sim_uniform=self.rng.uniform,
+            rules_by=rules_by,
+            env_jitter=env_jitter,
+            env_uniform=env_uniform,
             environments=environments,
-            net_names=self.compiled.net_names,
+            net_names=compiled.net_names,
             simulator=simulator,
+            record=(self.col_times, self.col_values),
+            hunt=hunt,
+        )
+
+    def _period_hunt(
+        self, rules_by: Sequence[Tuple], limit: float, max_events: int
+    ) -> Optional[_PeriodHunt]:
+        """A recording period hunt, when extrapolation is provably exact.
+
+        Every time the run can reach -- queued times, gate and rule
+        delays added to times up to the limit -- must be an exact
+        integer double, and no delay may be negative (batch times then
+        never decrease, so every skipped period lies at or before the
+        limit).  Byte planes are needed for the hunt's state keys.
+        """
+        if type(self.values) is not bytearray:
+            return None
+        delays = list(self.compiled.gate_delay)
+        delays.extend(map(_RULE_DELAY, chain.from_iterable(rules_by)))
+        if min(delays, default=0) < 0 or not all(
+            map(_exact_integer, chain(delays, self.queue._times))
+        ):
+            return None
+        if not limit + max(delays, default=0) < _EXACT_BOUND:
+            return None
+        return _PeriodHunt(
+            self.values,
+            self.pending,
+            self.gate_state,
+            self.queue,
+            limit,
+            max_events,
             record=(self.col_times, self.col_values),
         )

@@ -42,6 +42,11 @@ NAME = "coverage"
 #: Scheduler cost: one unit per this many picoseconds of campaign time.
 COST_UNIT_DURATION_PS = 10_000.0
 
+#: Longest campaign (``duration_ps``) one request may ask for.
+MAX_DURATION_PS = 1_000_000.0
+#: Longest ``fifo_rt_chain:N`` one request may name.
+MAX_CHAIN_STAGES = 64
+
 _CAMPAIGN_KEYS = (
     "circuit",
     "duration_ps",
@@ -69,10 +74,19 @@ def batch_key(params: Dict[str, Any]) -> str:
 
 def cost(params: Dict[str, Any]) -> float:
     duration = float(params.get("duration_ps", 10_000.0))
+    if not duration <= MAX_DURATION_PS:
+        raise ValueError(
+            f"duration_ps {duration:g} exceeds the cap of {MAX_DURATION_PS:g}"
+        )
     stages = 1
     circuit = str(params.get("circuit", "buffer"))
     if circuit.startswith("fifo_rt_chain:"):
         stages = max(1, int(circuit.split(":", 1)[1]))
+        if stages > MAX_CHAIN_STAGES:
+            raise ValueError(
+                f"fifo_rt_chain length {stages} exceeds the cap of "
+                f"{MAX_CHAIN_STAGES}"
+            )
     return max(1.0, stages * duration / COST_UNIT_DURATION_PS)
 
 

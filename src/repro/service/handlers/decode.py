@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
+import sys
+from array import array
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -32,6 +33,9 @@ NAME = "decode"
 #: Cost normalisation: one scheduler cost unit per this many instructions.
 COST_UNIT_INSTRUCTIONS = 10_000.0
 
+#: Largest ``instructions`` one request may decode; admission rejects more.
+MAX_INSTRUCTIONS = 200_000
+
 _CONFIG_FIELDS = frozenset(RappidConfig.__dataclass_fields__)
 
 #: Every request parameter the capability understands.
@@ -39,11 +43,11 @@ _PARAMS = ("seed", "instructions", "config", "stream_chunk")
 
 
 def trajectory_signature(values: Sequence[float]) -> str:
-    """SHA-256 over the exact float64 stream (order-sensitive)."""
-    digest = hashlib.sha256()
-    for value in values:
-        digest.update(struct.pack("<d", value))
-    return digest.hexdigest()
+    """SHA-256 over the exact little-endian float64 stream (order-sensitive)."""
+    buffer = array("d", values)
+    if sys.byteorder == "big":
+        buffer.byteswap()
+    return hashlib.sha256(buffer).hexdigest()
 
 
 def _canonical(params: Dict[str, Any], keys: Sequence[str]) -> str:
@@ -71,6 +75,10 @@ def batch_key(params: Dict[str, Any]) -> str:
 
 def cost(params: Dict[str, Any]) -> float:
     count = int(params.get("instructions", 2_000))
+    if count > MAX_INSTRUCTIONS:
+        raise ValueError(
+            f"instructions {count} exceeds the cap of {MAX_INSTRUCTIONS}"
+        )
     return max(1.0, count / COST_UNIT_INSTRUCTIONS)
 
 

@@ -34,6 +34,9 @@ NAME = "reachability"
 #: Scheduler cost: one unit per this many explored-state budget.
 COST_UNIT_STATES = 50_000.0
 
+#: Largest ``max_states`` budget one request may ask for.
+MAX_STATES = 1_000_000
+
 _KEYS = ("spec", "max_states", "reduction")
 
 
@@ -45,7 +48,10 @@ def batch_key(params: Dict[str, Any]) -> str:
 
 
 def cost(params: Dict[str, Any]) -> float:
-    return max(1.0, float(params.get("max_states", 50_000)) / COST_UNIT_STATES)
+    max_states = float(params.get("max_states", 50_000))
+    if not max_states <= MAX_STATES:
+        raise ValueError(f"max_states {max_states:g} exceeds the cap of {MAX_STATES}")
+    return max(1.0, max_states / COST_UNIT_STATES)
 
 
 def resolve_spec(name: str):

@@ -344,7 +344,7 @@ class DecodeService:
             handler = handler_registry.get(capability)
             key = handler.batch_key(params)
             request_cost = handler.cost(params)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
             self.metrics["errors"] += 1
             session.post(
                 {

@@ -52,6 +52,7 @@ from repro.circuit.simulator import (
     HandshakeEnvironment,
     SimulationTrace,
 )
+from repro.engine.events import CompiledNetlist
 from repro.engine.faultsim import FaultSimEngine
 from repro.testability.faults import StuckAtFault, enumerate_faults
 
@@ -261,8 +262,15 @@ def _run(
         seed=seed,
         initial_stimuli=initial_stimuli,
     )
+    # The oracle compiles every (rebuilt) netlist itself rather than
+    # through the analysis cache the engine path uses.
+    netlist.validate()
     simulator = EventDrivenSimulator(
-        netlist, [environment], delay_jitter=delay_jitter, seed=seed
+        netlist,
+        [environment],
+        delay_jitter=delay_jitter,
+        seed=seed,
+        compiled=CompiledNetlist(netlist),
     )
     return simulator.run(duration_ps=duration_ps, max_events=500_000)
 

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.circuit.library import STANDARD_LIBRARY
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import Netlist, NetlistError
 from repro.circuit.simulator import (
     EventDrivenSimulator,
     Waveform,
@@ -769,17 +769,296 @@ class TestLazyWaveforms:
                 )
 
 
-# ---------------------------------------------------------------------------
-# Batch fault simulation: FaultSimEngine vs the per-fault reference loop
-# ---------------------------------------------------------------------------
-
-
 from repro.circuit.analysis import (
     chain_environment_rules as _chain_rules,
     fifo_environment_rules as _fifo_rules,
 )
 from repro.circuit.netlist import chain_handshake_cells
 from repro.circuit.simulator import HandshakeEnvironment, HandshakeRule
+
+
+# ---------------------------------------------------------------------------
+# Periodic steady-state extrapolation and compiled handshake environments
+# ---------------------------------------------------------------------------
+
+
+def _run_signature(simulator, trace):
+    """Everything a run exposes: waveforms, counts, times, final values.
+
+    Waveforms are copied: a later run on the same simulator extends them.
+    """
+    return (
+        {net: list(waveform.changes) for net, waveform in trace.waveforms.items()},
+        trace.final_values,
+        trace.end_time,
+        trace.event_count,
+        simulator.time,
+        simulator.event_count,
+        dict(simulator.values),
+    )
+
+
+def _post_state(simulator):
+    """Observable state after a run raised: columns, counts, queue, time."""
+    queue = getattr(simulator, "_queue", None)
+    return (
+        {net: list(w.changes) for net, w in simulator.waveforms.items()},
+        simulator.event_count,
+        simulator.time,
+        dict(simulator.values),
+        len(simulator._kernel.queue if queue is None else queue),
+    )
+
+
+@pytest.fixture
+def replicated(monkeypatch):
+    """Record every extrapolation the simulator's period hunt makes."""
+    from repro.engine import simkernel
+
+    calls = []
+    original = simkernel._PeriodHunt._replicate
+
+    def spy(self, lengths, period, cycles):
+        calls.append((period, cycles))
+        return original(self, lengths, period, cycles)
+
+    monkeypatch.setattr(simkernel._PeriodHunt, "_replicate", spy)
+    return calls
+
+
+class TestPeriodicExtrapolationDifferential:
+    """Runs the simulator extrapolates, and the runs it must not.
+
+    A jitter-free run with integral delays and no Python callbacks
+    settles into an exact period; ``SimKernel.drain`` arms the kernel's
+    period hunt, which appends whole periods of waveform columns instead
+    of simulating them.  Every case here is bit-identical to the
+    one-event-at-a-time reference: waveforms, event counts, end and
+    simulator times, final values, raised errors and post-error state.
+    """
+
+    @staticmethod
+    def _chain(fifo_rt, stages):
+        return (
+            chain_handshake_cells(fifo_rt.netlist, stages),
+            _chain_rules(stages),
+            [("s0_li", 1, 50.0)],
+        )
+
+    @staticmethod
+    def _simulate(simulator_class, netlist, rules, stimuli, **knobs):
+        environment = HandshakeEnvironment(
+            rules,
+            jitter=knobs.pop("environment_jitter", 0.0),
+            seed=3,
+            initial_stimuli=stimuli,
+        )
+        return simulator_class(netlist, [environment], seed=3, **knobs)
+
+    @pytest.mark.parametrize("duration", [9_000.0, 33_333.0, 170_000.0])
+    @pytest.mark.parametrize("stages", [4, 8, 16])
+    def test_fifo_chain_extrapolates_identically(
+        self, fifo_rt, replicated, stages, duration
+    ):
+        netlist, rules, stimuli = self._chain(fifo_rt, stages)
+        signatures = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            simulator = self._simulate(simulator_class, netlist, rules, stimuli)
+            trace = simulator.run(duration_ps=duration, max_events=2_000_000)
+            signatures.append(_run_signature(simulator, trace))
+        assert signatures[0] == signatures[1]
+        if duration > 30_000.0:
+            assert replicated and all(cycles > 0 for _p, cycles in replicated)
+
+    @pytest.mark.parametrize("duration", [1_000.0, 20_001.0, 150_000.0])
+    @pytest.mark.parametrize("stages", [3, 31])
+    def test_ring_oscillator_extrapolates_identically(
+        self, replicated, stages, duration
+    ):
+        signatures = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            simulator = simulator_class(_ring_oscillator(stages))
+            trace = simulator.run(duration_ps=duration, max_events=1_000_000)
+            signatures.append(_run_signature(simulator, trace))
+        assert signatures[0] == signatures[1]
+        if duration > 100_000.0:
+            assert replicated
+
+    @pytest.mark.parametrize("max_events", [600, 2_500, 6_001, 9_000])
+    def test_event_cap_inside_extrapolated_span(self, fifo_rt, max_events):
+        """The hunt stands down when the span would cross the cap, so the
+        drain meets it event by event: same error, same post-error
+        waveforms, counts, time and queue -- and a follow-up run after
+        the error continues identically."""
+        netlist, rules, stimuli = self._chain(fifo_rt, 4)
+        states = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            simulator = self._simulate(simulator_class, netlist, rules, stimuli)
+            with pytest.raises(RuntimeError) as error:
+                simulator.run(duration_ps=170_000.0, max_events=max_events)
+            trace = simulator.run(duration_ps=20_000.0, max_events=2_000_000)
+            states.append(
+                (str(error.value), _post_state(simulator), _trace_signature(trace))
+            )
+        assert states[0] == states[1]
+        assert f"exceeded {max_events} events" in states[0][0]
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"delay_jitter": 0.1},
+            {"environment_jitter": 0.25},
+            {"stimulus_time": 50.5},
+            {"rule_delay": 200.5},
+        ],
+        ids=["delay-jitter", "environment-jitter", "fractional-stimulus", "fractional-rule"],
+    )
+    def test_inexact_runs_skip_the_hunt_and_match(self, fifo_rt, replicated, knobs):
+        knobs = dict(knobs)
+        netlist, rules, _stimuli = self._chain(fifo_rt, 4)
+        stimuli = [("s0_li", 1, knobs.pop("stimulus_time", 50.0))]
+        rules = _chain_rules(4, right_delay_ps=knobs.pop("rule_delay", 200.0))
+        signatures = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            simulator = self._simulate(
+                simulator_class, netlist, rules, stimuli, **dict(knobs)
+            )
+            trace = simulator.run(duration_ps=60_000.0, max_events=2_000_000)
+            signatures.append(_run_signature(simulator, trace))
+        assert signatures[0] == signatures[1]
+        assert replicated == []
+
+    def test_fractional_gate_delay_skips_the_hunt_and_matches(self, replicated):
+        import dataclasses
+
+        inverter = dataclasses.replace(STANDARD_LIBRARY.get("INV"), delay_ps=90.5)
+        netlist = Netlist("ring_fractional")
+        for i in range(5):
+            netlist.add_gate(f"inv{i}", inverter, [f"n{i}"], f"n{(i + 1) % 5}")
+        netlist.set_initial_value("n0", 1)
+        signatures = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            simulator = simulator_class(netlist)
+            trace = simulator.run(duration_ps=50_000.0, max_events=1_000_000)
+            signatures.append(_run_signature(simulator, trace))
+        assert signatures[0] == signatures[1]
+        assert replicated == []
+
+    def test_handshake_subclass_keeps_its_callback(self, fifo_rt, replicated):
+        """A subclass may override ``on_change``; it is called, not compiled."""
+
+        class CountingEnvironment(HandshakeEnvironment):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.calls = 0
+
+            def on_change(self, simulator, net, value, time):
+                self.calls += 1
+                super().on_change(simulator, net, value, time)
+
+        netlist = fifo_rt.netlist
+        results = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            environment = CountingEnvironment(
+                _fifo_rules(), initial_stimuli=[("li", 1, 50.0)]
+            )
+            simulator = simulator_class(netlist, [environment])
+            trace = simulator.run(duration_ps=40_000.0, max_events=200_000)
+            results.append((_run_signature(simulator, trace), environment.calls))
+        assert results[0] == results[1]
+        assert results[0][1] == results[0][0][5] > 0
+        assert replicated == []
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.25])
+    def test_rule_targeting_unknown_net_raises_identically(self, fifo_rt, jitter):
+        rules = _fifo_rules() + [HandshakeRule("lo", 1, "nowhere", 1, 25.0)]
+        states = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            environment = HandshakeEnvironment(
+                rules, jitter=jitter, seed=5, initial_stimuli=[("li", 1, 50.0)]
+            )
+            simulator = simulator_class(fifo_rt.netlist, [environment])
+            with pytest.raises(NetlistError) as error:
+                simulator.run(duration_ps=40_000.0, max_events=200_000)
+            states.append(
+                (str(error.value), _post_state(simulator), environment._rng.getstate())
+            )
+        assert states[0] == states[1]
+        assert "nowhere" in states[0][0]
+
+    def test_malformed_rule_fails_when_it_fires_like_reference(self, fifo_rt):
+        """A rule that cannot compile keeps the callback path: the run
+        proceeds until the rule fires, then raises the reference error."""
+        rules = _fifo_rules() + [HandshakeRule("lo", 1, "li", 0, "soon")]
+        states = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            environment = HandshakeEnvironment(rules, initial_stimuli=[("li", 1, 50.0)])
+            simulator = simulator_class(fifo_rt.netlist, [environment])
+            with pytest.raises(TypeError) as error:
+                simulator.run(duration_ps=30_000.0, max_events=200_000)
+            states.append((str(error.value), _post_state(simulator)))
+        assert states[0] == states[1]
+        assert states[0][1][1] > 0
+
+    def test_rules_on_unknown_or_impossible_triggers_never_fire(self, fifo_rt):
+        rules = _fifo_rules() + [
+            HandshakeRule("ghost", 1, "li", 0, 10.0),
+            HandshakeRule("lo", 2, "li", 0, 10.0),
+        ]
+        signatures = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            environment = HandshakeEnvironment(rules, initial_stimuli=[("li", 1, 50.0)])
+            simulator = simulator_class(fifo_rt.netlist, [environment])
+            trace = simulator.run(duration_ps=30_000.0, max_events=200_000)
+            signatures.append(_run_signature(simulator, trace))
+        assert signatures[0] == signatures[1]
+
+    @pytest.mark.parametrize("delay_jitter", [0.0, 0.1])
+    def test_jittered_compiled_rules_draw_in_reference_order(
+        self, fifo_rt, delay_jitter
+    ):
+        netlist, rules, stimuli = self._chain(fifo_rt, 4)
+        results = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            environment = HandshakeEnvironment(
+                rules, jitter=0.25, seed=11, initial_stimuli=stimuli
+            )
+            simulator = simulator_class(
+                netlist, [environment], delay_jitter=delay_jitter, seed=11
+            )
+            trace = simulator.run(duration_ps=40_000.0, max_events=2_000_000)
+            results.append(
+                (
+                    _run_signature(simulator, trace),
+                    environment._rng.getstate(),
+                    simulator._rng.getstate(),
+                )
+            )
+        assert results[0] == results[1]
+
+    def test_run_reset_run_and_continued_runs_match(self, fifo_rt, replicated):
+        netlist, rules, stimuli = self._chain(fifo_rt, 8)
+        histories = []
+        for simulator_class in (EventDrivenSimulator, _ReferenceEventDrivenSimulator):
+            simulator = self._simulate(simulator_class, netlist, rules, stimuli)
+            history = []
+            for duration in (60_000.0, 45_000.0):  # the second run continues
+                trace = simulator.run(duration_ps=duration, max_events=2_000_000)
+                history.append(_run_signature(simulator, trace))
+            simulator.reset()
+            trace = simulator.run(duration_ps=60_000.0, max_events=2_000_000)
+            history.append(_run_signature(simulator, trace))
+            histories.append(history)
+        assert histories[0] == histories[1]
+        assert histories[0][0] == histories[0][2]
+        assert len(replicated) >= 2
+
+
+# ---------------------------------------------------------------------------
+# Batch fault simulation: FaultSimEngine vs the per-fault reference loop
+# ---------------------------------------------------------------------------
+
+
 from repro.engine.faultsim import FaultSimEngine
 from repro.testability import stuck_at_coverage
 from repro.testability.simulation import (
@@ -941,6 +1220,19 @@ class TestFaultSimDifferential:
         )
         assert _campaign_signature(batch) == _campaign_signature(reference)
         assert not batch[0].detected
+
+    def test_rule_on_impossible_trigger_value_never_fires(self, fifo_rt):
+        """A trigger value no net takes (2) never fires in the reference
+        environment; the campaign must not flatten it into a 1."""
+        rules = _fifo_rules() + [HandshakeRule("lo", 2, "ri", 1, 10.0)]
+        stimuli = [("li", 1, 50.0)]
+        fast = simulate_faults(fifo_rt.netlist, rules, stimuli, duration_ps=5_000.0)
+        reference = _reference_simulate_faults(
+            fifo_rt.netlist, rules, stimuli, duration_ps=5_000.0
+        )
+        assert [(r.fault, r.detected, r.reason) for r in fast] == [
+            (r.fault, r.detected, r.reason) for r in reference
+        ]
 
     def test_primary_input_faults_match(self, fifo_rt):
         """PI faults (pinned initial, still driven by the environment)

@@ -1,11 +1,12 @@
 """Property tests for the extrapolation gate of the fault-sweep kernel.
 
-The periodic-trajectory shortcut in ``repro.engine.faultsim`` is exact
+The periodic-trajectory shortcut (``repro.engine.simkernel``'s period
+hunt, armed by ``repro.engine.faultsim`` for fault copies) is exact
 only when every event time is an integer-valued double (shifting the
 queue by whole periods is then lossless) and no jitter is drawn (skipped
 cycles would skip RNG draws).  These tests pin the two gate predicates:
 
-* :func:`repro.engine.faultsim._exact_integer` accepts exactly the
+* :func:`repro.engine.simkernel._exact_integer` accepts exactly the
   integers representable without rounding in a float64;
 * any non-integral picosecond delay -- whether a stimulus time, a gate
   delay, an environment-rule delay, or a value *produced by jitter* --
@@ -26,7 +27,8 @@ from hypothesis import strategies as st
 from repro.circuit.analysis import fifo_environment_rules
 from repro.circuit.library import GateType
 from repro.circuit.netlist import Netlist
-from repro.engine.faultsim import FaultSimEngine, _exact_integer
+from repro.engine.faultsim import FaultSimEngine
+from repro.engine.simkernel import _exact_integer
 from repro.testability.faults import enumerate_faults
 from repro.testability.simulation import (
     _reference_simulate_faults,
@@ -62,6 +64,10 @@ class TestExactInteger:
         assert not _exact_integer(2.0**53)
         assert not _exact_integer(-(2.0**53))
         assert not _exact_integer(2.0**53 + 2)
+
+    def test_non_finite_values_are_rejected_not_raised(self):
+        for value in (math.inf, -math.inf, math.nan):
+            assert not _exact_integer(value)
 
     def test_zero_and_negatives(self):
         assert _exact_integer(0.0)

@@ -225,6 +225,52 @@ class TestGateDispatchRule:
         assert lint_contracts.check_gate_dispatch(engine) == []
 
 
+class TestPeriodHuntRule:
+    def test_second_hunt_reported(self, tmp_path):
+        engine = tmp_path / "engine"
+        module = write(
+            engine / "faultsim.py",
+            """\
+            def visit(queue, now, seen):
+                key = queue.relative_snapshot(now)
+                return seen.get(key)
+            """,
+        )
+        findings = lint_contracts.check_period_hunt(engine)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("period-hunt-single-owner", 2)
+        ]
+        assert findings[0].describe().startswith(f"{module}:2:")
+        assert len(lint_contracts.run(tmp_path, engine, tmp_path / "t.py")) == 1
+
+    def test_bare_call_reported(self, tmp_path):
+        engine = tmp_path / "engine"
+        write(
+            engine / "sweep" / "hunt.py",
+            "from q import relative_snapshot\nkey = relative_snapshot(0.0)\n",
+        )
+        findings = lint_contracts.check_period_hunt(engine)
+        assert [f.line for f in findings] == [2]
+
+    def test_owner_definition_and_mentions_pass(self, tmp_path):
+        engine = tmp_path / "engine"
+        write(
+            engine / "simkernel.py",
+            "def visit(queue, now):\n    return queue.relative_snapshot(now)\n",
+        )
+        write(
+            engine / "events.py",
+            """\
+            class BatchEventQueue:
+                def relative_snapshot(self, now):
+                    return ()
+
+            HUNT_KEY = BatchEventQueue.relative_snapshot
+            """,
+        )
+        assert lint_contracts.check_period_hunt(engine) == []
+
+
 class TestClosureSelfReferenceRule:
     def test_self_calling_nested_def_reported(self, tmp_path):
         src = tmp_path / "src"

@@ -24,7 +24,10 @@ precise points.
 """
 
 import asyncio
+import hashlib
 import json
+import math
+import struct
 import threading
 
 import pytest
@@ -196,6 +199,64 @@ class TestDecodeParams:
         assert after.payload == direct_decode_payload(11, 500)[0]
 
 
+def _per_value_signature(values):
+    """The per-value form of ``trajectory_signature``: one pack per float."""
+    digest = hashlib.sha256()
+    for value in values:
+        digest.update(struct.pack("<d", value))
+    return digest.hexdigest()
+
+
+class TestTrajectorySignature:
+    """Hashing one float64 buffer gives the per-value digests, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [0.0],
+            [-0.0],
+            [0.0, -0.0],
+            [math.inf, -math.inf],
+            [math.nan],
+            [struct.unpack("<d", bytes.fromhex("0100000000f8ff7f"))[0]],
+            [5e-324, 2.2250738585072009e-308, -1e-310],
+            [1.5, 2, 3, 1e300, -7.25],
+        ],
+        ids=[
+            "empty",
+            "zero",
+            "negative-zero",
+            "signed-zeros",
+            "infinities",
+            "nan",
+            "nan-payload",
+            "subnormals",
+            "mixed",
+        ],
+    )
+    def test_buffer_digest_matches_per_value_digest(self, values):
+        assert decode_handler.trajectory_signature(values) == _per_value_signature(
+            values
+        )
+
+    def test_payload_and_streamed_partials_match(self):
+        _payload, result = direct_decode_payload(seed=11, count=2_000)
+        payload = decode_handler.payload_of(result)
+        assert payload["issue_signature"] == _per_value_signature(
+            result.issue_times_ps
+        )
+        assert payload["latency_signature"] == _per_value_signature(
+            result.instruction_latencies_ps
+        )
+        partials = decode_handler.partials_of(result, 128)
+        assert len(partials) > 1
+        for partial in partials:
+            first = partial["first"]
+            window = result.issue_times_ps[first : first + partial["count"]]
+            assert partial["signature"] == _per_value_signature(window)
+
+
 class TestMalformedFrames:
     @pytest.mark.parametrize(
         "frame, event, field",
@@ -219,8 +280,48 @@ class TestMalformedFrames:
                 "error",
                 "weight",
             ),
+            (
+                '{"op": "request", "id": "i", "capability": "decode", '
+                '"params": {"seed": 1, "instructions": 1000000000}}',
+                "error",
+                "instructions",
+            ),
+            (
+                '{"op": "request", "id": "f", "capability": "decode", '
+                '"params": {"seed": 1, "instructions": 1e400}}',
+                "error",
+                "infinity",
+            ),
+            (
+                '{"op": "request", "id": "s", "capability": "reachability", '
+                '"params": {"spec": "fifo", "max_states": 1000000000}}',
+                "error",
+                "max_states",
+            ),
+            (
+                '{"op": "request", "id": "d", "capability": "coverage", '
+                '"params": {"circuit": "buffer", "duration_ps": 1e12}}',
+                "error",
+                "duration_ps",
+            ),
+            (
+                '{"op": "request", "id": "c", "capability": "coverage", '
+                '"params": {"circuit": "fifo_rt_chain:100000"}}',
+                "error",
+                "fifo_rt_chain",
+            ),
         ],
-        ids=["non-object", "params", "weight-type", "weight-sign"],
+        ids=[
+            "non-object",
+            "params",
+            "weight-type",
+            "weight-sign",
+            "instructions-cap",
+            "instructions-infinite",
+            "max-states-cap",
+            "duration-cap",
+            "chain-cap",
+        ],
     )
     def test_bad_frame_gets_a_reply_and_the_session_lives_on(
         self, frame, event, field
