@@ -7,11 +7,11 @@ replaced (and which remains in-tree for differential testing):
   encoding is >= 3x faster than the Marking-object BFS;
 * a 10k-cache-line RAPPID workload through the batched runner is >= 3x
   faster than the per-instruction reference loop;
-* the opcode simulation kernel behind ``EventDrivenSimulator`` is >= 3x
+* the opcode simulation kernel's event loop (``drain_tps``) is >= 3x
   the reference simulator on a ring oscillator and on a RAPPID-style
-  32-byte-unit netlist; its transitions/sec trajectory -- whole runs,
-  which extrapolate these periodic netlists, and the raw event loop
-  (``drain_tps``) -- is written to ``BENCH_sim.json``.
+  32-byte-unit netlist; its transitions/sec trajectory -- the raw event
+  loop and whole runs, which extrapolate these periodic netlists -- is
+  written to ``BENCH_sim.json``.
 * the batch fault-simulation engine behind ``simulate_faults`` is >= 6x
   the retained per-fault reference loop on the FIFO corpus (Table 2
   cells plus chained FIFOs) and >= 3x on the jittered rows (where the
@@ -226,12 +226,14 @@ def test_bench_engine_simulator_kernel_speedup():
     """Opcode kernel vs reference simulator; writes ``BENCH_sim.json``.
 
     Both netlists run free (no environment), so every measured second is
-    simulation: gate evaluation, queue churn, transition recording --
-    and, on the kernel side, the period hunt, which extrapolates these
-    periodic netlists' steady state.  ``drain_tps`` times the kernel's
-    event loop alone (``simkernel.drain`` without the hunt) over the
-    same run.  The traces are asserted identical before timing, so this
-    doubles as a differential check at benchmark scale.
+    simulation: gate evaluation, queue churn, transition recording.  The
+    ``REQUIRED_SPEEDUP`` gate is on ``drain_tps`` / ``reference_tps``:
+    the kernel's event loop alone (``simkernel.drain`` without the
+    period hunt) over the same run.  ``kernel_tps`` and ``speedup``
+    time whole ``EventDrivenSimulator`` runs, whose period hunt
+    extrapolates these periodic netlists' steady state; they are
+    recorded, not gated.  The traces are asserted identical before
+    timing, so this doubles as a differential check at benchmark scale.
     """
     from repro.engine.pool import worker_count
 
@@ -260,26 +262,24 @@ def test_bench_engine_simulator_kernel_speedup():
         transitions = fast_trace.total_transitions()
         del fast_trace, reference_trace
 
-        reference_time, fast_time, speedup = _compare_with_retries(
+        # The gate times the event loop alone: whole runs extrapolate
+        # these periodic netlists, which would pass any loop speed.
+        reference_time, drain_time, drain_speedup = _compare_with_retries(
             lambda: run(_ReferenceEventDrivenSimulator),
-            lambda: run(EventDrivenSimulator),
+            lambda: _raw_drain(netlist, duration),
             rounds=2 if QUICK else 5,
-            label=f"simkernel {label}",
+            label=f"simkernel {label} drain",
         )
+        fast_time = _best_time(lambda: run(EventDrivenSimulator), 2 if QUICK else 5)
         summary["cases"][label] = {
             "transitions": transitions,
             "reference_tps": round(transitions / reference_time),
             "kernel_tps": round(transitions / fast_time),
-            "drain_tps": round(
-                transitions
-                / _best_time(
-                    lambda: _raw_drain(netlist, duration), 2 if QUICK else 5
-                )
-            ),
-            "speedup": round(speedup, 2),
+            "drain_tps": round(transitions / drain_time),
+            "speedup": round(reference_time / fast_time, 2),
         }
-        if speedup < REQUIRED_SPEEDUP:
-            failures.append((label, speedup))
+        if drain_speedup < REQUIRED_SPEEDUP:
+            failures.append((label, drain_speedup))
 
     out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_sim.json")
     with open(out_path, "w") as handle:
@@ -288,7 +288,7 @@ def test_bench_engine_simulator_kernel_speedup():
 
     if not QUICK:
         assert not failures, (
-            f"simulation kernel below {REQUIRED_SPEEDUP}x on: "
+            f"simulation kernel drain below {REQUIRED_SPEEDUP}x on: "
             + ", ".join(f"{label} ({speedup:.2f}x)" for label, speedup in failures)
         )
 

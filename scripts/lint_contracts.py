@@ -73,6 +73,14 @@ contract.  This lint makes them mechanical:
     core) is growing a second period hunt whose exactness conditions
     nothing keeps in step with the first; arm the kernel's hunt instead.
 
+``single-event-loop``
+    Events are popped in one place: ``engine/simkernel.py``'s ``drain``
+    (and the queue that ``engine/events.py`` defines).  Any other engine
+    module calling ``heappop`` over event times is growing a second
+    per-event loop -- the fault engine's old lockstep leader pass was
+    one -- whose delta-cycle semantics the differential suite pins only
+    by accident; run ``drain`` with a time limit instead.
+
 ``closure-self-reference``
     A nested ``def`` under ``src/repro/engine`` or ``src/repro/rappid``
     that calls itself by name reaches itself through its own closure
@@ -449,11 +457,13 @@ def check_gate_dispatch(engine_root: Path) -> List[Finding]:
     return findings
 
 
-def check_period_hunt(engine_root: Path) -> List[Finding]:
-    """``period-hunt-single-owner``: queue snapshots outside simkernel.py."""
+def _owned_calls(
+    engine_root: Path, callee: str, owners: set, rule: str, message: str
+) -> List[Finding]:
+    """Calls to ``callee`` (bare or as an attribute) outside ``owners``."""
     findings: List[Finding] = []
     for path in sorted(engine_root.rglob("*.py")):
-        if path.relative_to(engine_root).as_posix() == "simkernel.py":
+        if path.relative_to(engine_root).as_posix() in owners:
             continue
         for node in ast.walk(_parse(path)):
             if not isinstance(node, ast.Call):
@@ -464,18 +474,33 @@ def check_period_hunt(engine_root: Path) -> List[Finding]:
                 if isinstance(func, ast.Attribute)
                 else getattr(func, "id", None)
             )
-            if name == "relative_snapshot":
-                findings.append(
-                    Finding(
-                        path,
-                        node.lineno,
-                        "period-hunt-single-owner",
-                        "relative_snapshot() outside engine/simkernel.py "
-                        "grows a second period hunt; arm "
-                        "simkernel._PeriodHunt instead",
-                    )
-                )
+            if name == callee:
+                findings.append(Finding(path, node.lineno, rule, message))
     return findings
+
+
+def check_period_hunt(engine_root: Path) -> List[Finding]:
+    """``period-hunt-single-owner``: queue snapshots outside simkernel.py."""
+    return _owned_calls(
+        engine_root,
+        "relative_snapshot",
+        {"simkernel.py"},
+        "period-hunt-single-owner",
+        "relative_snapshot() outside engine/simkernel.py grows a second "
+        "period hunt; arm simkernel._PeriodHunt instead",
+    )
+
+
+def check_single_event_loop(engine_root: Path) -> List[Finding]:
+    """``single-event-loop``: event-time heap pops outside the loop's owners."""
+    return _owned_calls(
+        engine_root,
+        "heappop",
+        {"simkernel.py", "events.py"},
+        "single-event-loop",
+        "heappop() outside engine/simkernel.py and engine/events.py grows a "
+        "second per-event loop; run simkernel.drain instead",
+    )
 
 
 def _nested_defs(node: ast.AST, inside: bool = False):
@@ -521,6 +546,7 @@ def run(src_root: Path, engine_root: Path, differential_test: Path) -> List[Find
     findings.extend(check_engine_rng(engine_root))
     findings.extend(check_gate_dispatch(engine_root))
     findings.extend(check_period_hunt(engine_root))
+    findings.extend(check_single_event_loop(engine_root))
     findings.extend(
         check_closure_self_reference(
             [root for root in (engine_root, src_root / "rappid") if root.is_dir()]
@@ -543,7 +569,8 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--engine", type=Path, default=None,
         help="engine package checked for unpinned RNG, gate dispatch, "
-        "period hunts and recursive closures (default: <src>/engine)",
+        "period hunts, event loops and recursive closures "
+        "(default: <src>/engine)",
     )
     parser.add_argument(
         "--differential-test", type=Path,

@@ -6,10 +6,11 @@ so repeat campaigns (or any two content-equal netlists) share one
 truth-table enumeration instead of recompiling per call site.
 
 ``"golden-signature"`` caches a fault-simulation campaign's fault-free
-run -- observable finals/counts, the processed event count, and (under
-jitter) the final RNG states -- keyed by the netlist fingerprints plus
-the full campaign configuration, so a repeat campaign skips the golden
-replay as well as the compile.
+run -- observable finals/counts, the processed event count, each net's
+first commit time, and (under jitter) the final RNG states -- keyed by
+the netlist fingerprints plus the campaign configuration (the seed only
+when jitter draws from it), so a repeat campaign skips the golden run as
+well as the compile.
 
 Cache-key soundness: the topology fingerprint includes ``id(eval_fn)``
 per gate type.  A cached ``CompiledNetlist`` holds the gate instances
@@ -85,13 +86,16 @@ class CompileAnalysis(AnalysisPass):
 class GoldenSignatureAnalysis(AnalysisPass):
     """Fault-free campaign run: signature, event count, RNG states.
 
-    Parameterised by the full campaign configuration (see
-    :func:`campaign_params`).  The result dict carries exactly what
+    Parameterised by the campaign configuration (see
+    :func:`campaign_params`); a jitter-free campaign draws nothing, so
+    its key ignores the seed.  The result dict carries exactly what
     :class:`~repro.engine.faultsim._FaultSweep` needs to skip its golden
-    replay: ``finals``/``counts`` (the observable signature),
-    ``events`` (the golden processed-event count, consumed by the
-    event-cap shortcut), and ``rng_state`` (the final simulator /
-    environment RNG pair under jitter, ``None`` otherwise).
+    run: ``finals``/``counts`` (the observable signature), ``events``
+    (the golden processed-event count, consumed by the event-cap
+    shortcut and the collapse plan), ``rng_state`` (the final simulator
+    / environment RNG pair under jitter, ``None`` otherwise), and
+    ``first_commits`` (each net's first commit time, from which every
+    fault copy's fork time follows).
 
     A golden run that raises (oscillating fault-free circuit, unknown
     rule target) is a campaign setup error: the exception propagates and
@@ -103,16 +107,13 @@ class GoldenSignatureAnalysis(AnalysisPass):
     aspects = ("topology", "values")
 
     def param_key(self, **params: Any) -> Tuple:
+        if params["delay_jitter"] == params["environment_jitter"] == 0:
+            # No draw ever happens: the trajectory, and with it every
+            # field of the result, is the same for every seed.
+            params["seed"] = None
         return tuple(sorted(params.items()))
 
     def run(self, subject: Any, deps: Dict[str, Any], **params: Any) -> Dict[str, Any]:
         from repro.engine.faultsim import build_sweep
 
-        sweep = build_sweep(subject, deps["compile"], params)
-        finals, counts = sweep.golden_signature()
-        return {
-            "finals": finals,
-            "counts": counts,
-            "events": sweep.golden_events,
-            "rng_state": sweep.golden_rng_state,
-        }
+        return build_sweep(subject, deps["compile"], params).golden_record()

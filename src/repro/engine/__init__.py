@@ -61,10 +61,10 @@ When delegation kicks in
   :class:`~repro.engine.faultsim.FaultSimEngine`: the netlist compiles
   once, stuck-at faults become ``OP_CONST`` overlays on the compiled
   tables (:meth:`~repro.engine.events.CompiledNetlist.stuck_at_overlay`),
-  one leader pass carries every fault copy in lockstep, and each copy
-  that deviates finishes in the same scalar drain the simulator uses
-  (detected copies drop out of observable bookkeeping the moment they
-  diverge).  Large campaigns shard over the
+  every fault copy forks off one golden drain at the first event that
+  can read its faulted net and finishes in the same scalar drain the
+  simulator uses (detected copies drop out of observable bookkeeping
+  the moment they diverge).  Large campaigns ship small chunks to the
   persistent pool, with the compiled tables published once per campaign
   through the shared-memory payload path
   (:func:`~repro.engine.pool.publish_payload`).  The per-fault
@@ -80,7 +80,7 @@ When delegation kicks in
 
 Resilient dispatch (``engine.resilience`` + ``engine.chaos``)
 -------------------------------------------------------------
-The pool's one consumer, ``FaultSimEngine``'s fault-chunk round-robin,
+The pool's one consumer, ``FaultSimEngine``'s contiguous fault chunks,
 dispatches through
 :func:`~repro.engine.resilience.supervised_map`: per-task deadlines,
 bounded retries with exponential backoff for *infrastructure* failures

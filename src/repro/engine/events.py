@@ -321,13 +321,17 @@ class BatchEventQueue:
             bucket[1][:0] = values
         self._count += len(nets)
 
+    def nets(self) -> set:
+        """Slots of every net with a queued event."""
+        return {net for nets, _values in self._buckets.values() for net in nets}
+
     def clone(self) -> "BatchEventQueue":
         """Deep-enough copy: private heap and buckets, shared immutables.
 
-        The vectorised fault sweep extracts a deviating copy by cloning
-        the leader's queue at the pre-event point; the clone and the
-        original then evolve independently (bucket lists are copied,
-        times and values are immutable).
+        The fault sweep forks a copy off the golden run by cloning
+        golden's queue at a batch boundary; the clone and the original
+        then evolve independently (bucket lists are copied, times and
+        values are immutable).
         """
         other = BatchEventQueue()
         other._times = list(self._times)

@@ -320,7 +320,7 @@ def drain(
 
     The state planes (``vals``/``pend``/``gstate``) and the queue arrive
     as they stand -- fresh after :func:`settle` plus stimuli, or mid
-    trajectory (a fault copy extracted from the sweep's leader pass) --
+    trajectory (a fault copy forked off the golden run) --
     and ``processed`` counts the events already popped.  Returns
     ``(processed, diverged)``.  The queue's heap and buckets are mutated
     inline and its count is synced on every exit.

@@ -15,7 +15,7 @@ shipping a netlist over the wire:
     netlist level from the cached cell.
 
 The campaign itself runs on the batch fault engine; with ``shards`` /
-``use_processes`` set its fault-chunk round-robin dispatches through
+``use_processes`` set its contiguous fault chunks dispatch through
 :func:`repro.engine.resilience.supervised_map` on the persistent pool,
 so worker failures degrade per-request, never per-server.  The payload
 carries exact verdict counts plus the undetected fault list; partial

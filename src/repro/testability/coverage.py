@@ -1,7 +1,7 @@
 """Stuck-at coverage reporting.
 
 :func:`stuck_at_coverage` drives a full campaign through the batch fault
-simulation engine -- the copy-vectorised lockstep sweep of
+simulation engine -- the fork-at-first-touch sweep of
 :mod:`repro.engine.faultsim` (see :mod:`repro.testability.simulation`)
 -- and folds the per-fault verdicts into the coverage percentages of
 the paper's Table 2.  Every knob of :func:`~repro.testability.simulation.simulate_faults`

@@ -12,13 +12,12 @@ behaviour), which is why the SI and burst-mode FIFOs score below 100%.
 :func:`simulate_faults` runs the whole campaign through
 :class:`repro.engine.faultsim.FaultSimEngine`: the netlist compiles
 **once**, every stuck-at fault becomes a constant-driver overlay on the
-compiled tables, and the campaign sweeps vectorised across copies --
-one leader pass replays the golden trajectory while every live copy
-rides it as override columns, leaving the lockstep only at its first
-real deviation to drain solo from a snapshot (sharded over the
-persistent worker pool for large campaigns, with the compiled tables
-shipped once via shared memory and released through a
-``weakref.finalize`` hook even when the engine is never closed).  The pre-engine loop -- rebuild a fresh ``Netlist`` with a
+compiled tables, and every copy forks off one golden drain at the
+first event that can read its faulted net, then drains solo from there
+(over the persistent worker pool in small chunks for large campaigns,
+with the compiled tables shipped once via shared memory and released
+through a ``weakref.finalize`` hook even when the engine is never
+closed).  The pre-engine loop -- rebuild a fresh ``Netlist`` with a
 synthesized ``*_SA0/1`` gate type and a fresh ``EventDrivenSimulator``
 per fault -- is retained verbatim as :func:`_reference_simulate_faults`;
 the differential suite (``tests/test_engine_differential.py``) pins the

@@ -260,6 +260,47 @@ class TestCampaignReuse:
         assert campaigns[0] == campaigns[1]
         assert len(built) == 1
 
+    @pytest.mark.parametrize(
+        "prefix,jitter,misses",
+        [
+            ("free", (0.0, 0.0), 1),
+            ("gates", (0.1, 0.0), 2),
+            ("env", (0.0, 0.25), 2),
+        ],
+    )
+    def test_golden_key_drops_the_seed_only_without_jitter(
+        self, prefix, jitter, misses
+    ):
+        """A jitter-free campaign draws nothing: two seeds share one
+        golden run.  Jittered campaigns keep one golden run per seed."""
+        analysis.invalidate()
+        netlist = two_buffer_netlist(prefix)
+        rules = [
+            HandshakeRule(f"{prefix}_y", 1, f"{prefix}_a", 0, 150.0),
+            HandshakeRule(f"{prefix}_y", 0, f"{prefix}_a", 1, 150.0),
+        ]
+        # The golden run's own lookups (its compile dependency and the
+        # packed fanout) are warm, so each query below counts exactly
+        # one hit or one miss of its own.
+        analysis.get(analysis.get(netlist, "compile"), "packed-fanout")
+        signatures, deltas = [], []
+        for seed in (3, 4):
+            params = analysis.campaign_params(
+                rules, [(f"{prefix}_a", 1, 50.0)], None, 5_000.0, 500_000,
+                seed, *jitter,
+            )
+            before = analysis.stats()
+            signatures.append(analysis.get(netlist, "golden-signature", **params))
+            after = analysis.stats()
+            deltas.append(after["misses"] - before["misses"])
+        assert deltas[0] == 1
+        assert sum(deltas) == misses
+        if misses == 1:
+            assert signatures[0] is signatures[1]
+            assert signatures[0]["rng_state"] is None
+        else:
+            assert signatures[0]["rng_state"] != signatures[1]["rng_state"]
+
     def test_mutated_netlist_recompiles(self, monkeypatch):
         import repro.analysis.compilecache as compilecache
 

@@ -1059,7 +1059,7 @@ class TestPeriodicExtrapolationDifferential:
 # ---------------------------------------------------------------------------
 
 
-from repro.engine.faultsim import FaultSimEngine
+from repro.engine.faultsim import REASON_ABNORMAL, FaultSimEngine, _chunk_bounds
 from repro.testability import stuck_at_coverage
 from repro.testability.simulation import (
     _inject_fault,
@@ -1455,6 +1455,282 @@ class TestJitteredFaultSimDifferential:
                 jittered.close()
         finally:
             engine.close()
+
+
+def _standalone_rng_states(netlist, rules, stimuli, duration_ps, seed, jitters):
+    """Final (simulator, environment) RNG states of one standalone run."""
+    delay_jitter, environment_jitter = jitters
+    environment = HandshakeEnvironment(
+        rules, jitter=environment_jitter, seed=seed, initial_stimuli=stimuli
+    )
+    simulator = EventDrivenSimulator(
+        netlist, [environment], delay_jitter=delay_jitter, seed=seed
+    )
+    simulator.run(duration_ps=duration_ps, max_events=500_000)
+    return simulator._rng.getstate(), environment._rng.getstate()
+
+
+def _gated_ring_with_handshake() -> Netlist:
+    """The gated ring (held off: no golden event ever touches it) beside a
+    toggling handshake ``a -> y`` that keeps the RNG streams drawing, and
+    an observable buffer ``z`` of an input ``b`` that never moves."""
+    netlist = _gated_ring_netlist()
+    netlist.add_primary_input("a", initial=0)
+    netlist.add_primary_input("b", initial=0)
+    netlist.add_primary_output("y")
+    netlist.add_primary_output("z")
+    netlist.add_gate("g3", STANDARD_LIBRARY.get("INV"), ["a"], "y", output_initial=1)
+    netlist.add_gate("g4", STANDARD_LIBRARY.get("BUF"), ["b"], "z", output_initial=0)
+    return netlist
+
+
+class TestForkAtFirstTouch:
+    """Fault copies fork off one golden drain at their first touch.
+
+    A copy equals golden everywhere but its faulted net, pending entry
+    and driver state until an event can read them; it forks at the
+    batch boundary before that event with golden's state and RNG
+    positions, runs whole when its settle pass already differs, and
+    reads its verdict off the golden finals when nothing ever touches
+    it.  Each path must stay bit-identical to the per-fault reference,
+    RNG draw order included.
+    """
+
+    HANDSHAKE = [HandshakeRule("y", 0, "a", 0, 100.0), HandshakeRule("y", 1, "a", 1, 100.0)]
+    JITTERS = (0.2, 0.3)
+
+    def test_untouched_faults_keep_verdict_and_golden_rng_state(self):
+        netlist = _gated_ring_with_handshake()
+        stimuli = [("a", 1, 50.0)]
+        faults = [
+            StuckAtFault("en", 0),
+            StuckAtFault("n0", 1),
+            StuckAtFault("z", 1),
+            StuckAtFault("a", 0),
+        ]
+        kwargs = dict(
+            duration_ps=5_000.0,
+            seed=4,
+            delay_jitter=self.JITTERS[0],
+            environment_jitter=self.JITTERS[1],
+        )
+        reference = _reference_simulate_faults(
+            netlist, self.HANDSHAKE, stimuli, faults=faults, **kwargs
+        )
+        engine = FaultSimEngine(netlist, self.HANDSHAKE, stimuli, **kwargs)
+        try:
+            verdicts = engine.run(faults, use_processes=False)
+            sweep = engine._sweep
+            slots = [engine.compiled.net_index[fault.net] for fault in faults]
+            assert [sweep.touch_times[slot] for slot in slots] == [
+                math.inf, math.inf, math.inf, 50.0,
+            ]
+            assert verdicts == [(r.detected, r.reason) for r in reference]
+            assert [detected for detected, _ in verdicts[:3]] == [False, False, True]
+            golden = _standalone_rng_states(
+                netlist, self.HANDSHAKE, stimuli, 5_000.0, 4, self.JITTERS
+            )
+            assert sweep.golden_rng_state == golden
+            assert golden[0][1][1] > 0  # the handshake really drew
+            for fault, state in zip(faults, sweep.rng_states):
+                assert state == _standalone_rng_states(
+                    _inject_fault(netlist, fault), self.HANDSHAKE, stimuli,
+                    5_000.0, 4, self.JITTERS,
+                )
+            assert sweep.rng_states[:3] == [golden] * 3
+        finally:
+            engine.close()
+
+    # A driven net the environment also writes: an event on it is queued
+    # at the fork (a stimulus) or pushed by a rule whose trigger has
+    # nothing to do with the net's driver.
+    QUEUED_CASES = {
+        "stimulus": ([("y", 0, 100.0), ("a", 1, 200.0)], [], 1),
+        "rule": (
+            [("b", 1, 100.0), ("a", 1, 300.0)],
+            [HandshakeRule("b", 1, "y", 0, 50.0)],
+            0,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(QUEUED_CASES))
+    @pytest.mark.parametrize("jitters", [(0.0, 0.0), (0.1, 0.2)])
+    def test_environment_events_on_a_driven_net_fork_in_time(self, case, jitters):
+        """The fork keeps golden's pending entry for a net with a queued
+        event, and a net's own events -- stimuli, rule pushes -- bound
+        its fork time even when its driver's inputs commit much later."""
+        netlist = Netlist("driven_by_two")
+        netlist.add_primary_input("a", initial=0)
+        netlist.add_primary_input("b", initial=0)
+        netlist.add_primary_output("y")
+        netlist.add_gate("g", STANDARD_LIBRARY.get("INV"), ["a"], "y", output_initial=1)
+        stimuli, rules, pinned = self.QUEUED_CASES[case]
+        faults = [StuckAtFault("y", pinned)]
+        kwargs = dict(
+            duration_ps=2_000.0, seed=6, delay_jitter=jitters[0],
+            environment_jitter=jitters[1],
+        )
+        reference = _reference_simulate_faults(
+            netlist, rules, stimuli, faults=faults, **kwargs
+        )
+        engine = FaultSimEngine(netlist, rules, stimuli, **kwargs)
+        try:
+            assert engine._sweep.touch_times[engine.compiled.net_index["y"]] == 100.0
+            verdicts = engine.run(faults, use_processes=False)
+            assert verdicts == [(r.detected, r.reason) for r in reference]
+            assert verdicts[0][0]
+            if jitters != (0.0, 0.0):
+                assert engine._sweep.rng_states == [
+                    _standalone_rng_states(
+                        _inject_fault(netlist, faults[0]), rules, stimuli,
+                        2_000.0, 6, jitters,
+                    )
+                ]
+        finally:
+            engine.close()
+
+    def test_stimulus_past_the_duration_never_touches(self):
+        """A net's own event beyond the time limit never runs, so it
+        cannot touch the copy: the golden prefix must not run past the
+        limit to fork it."""
+        netlist = Netlist("late_stimulus")
+        netlist.add_primary_input("a", initial=0)
+        netlist.add_primary_output("y")
+        netlist.add_gate("g", STANDARD_LIBRARY.get("INV"), ["a"], "y", output_initial=1)
+        stimuli = [("y", 0, 5_000.0)]
+        faults = [StuckAtFault("y", 1), StuckAtFault("y", 0)]
+        reference = _reference_simulate_faults(
+            netlist, [], stimuli, faults=faults, duration_ps=1_000.0
+        )
+        engine = FaultSimEngine(netlist, [], stimuli, duration_ps=1_000.0)
+        try:
+            assert engine._sweep.touch_times[engine.compiled.net_index["y"]] == math.inf
+            verdicts = engine.run(faults, use_processes=False)
+        finally:
+            engine.close()
+        assert verdicts == [(r.detected, r.reason) for r in reference]
+        assert [detected for detected, _ in verdicts] == [False, True]
+
+    # bm_cell's undetected faults in its 30 ns jitter-free campaign: each
+    # is touched mid-trajectory, so it forks and drains to the end.
+    BM_UNDETECTED = [
+        ("lo_p3", 0), ("ro_p1", 0), ("x1_p2", 0), ("x2", 1), ("x2_b", 0), ("x2_p1", 1),
+    ]
+
+    @pytest.mark.parametrize("jitters", [(0.0, 0.0), (0.08, 0.3)])
+    def test_bm_cell_touched_undetected_faults_match_reference(self, fifo_bm, jitters):
+        netlist = fifo_bm.netlist
+        stimuli = [("li", 1, 50.0)]
+        faults = [StuckAtFault(net, value) for net, value in self.BM_UNDETECTED]
+        kwargs = dict(
+            duration_ps=30_000.0,
+            seed=11,
+            delay_jitter=jitters[0],
+            environment_jitter=jitters[1],
+        )
+        reference = _reference_simulate_faults(
+            netlist, _fifo_rules(), stimuli, faults=faults, **kwargs
+        )
+        engine = FaultSimEngine(netlist, _fifo_rules(), stimuli, **kwargs)
+        try:
+            sweep = engine._sweep
+            for fault in faults:
+                slot = engine.compiled.net_index[fault.net]
+                assert 0 < sweep.touch_times[slot] < math.inf
+                assert not sweep._settles_apart(slot, fault.value)
+            verdicts = engine.run(faults, use_processes=False)
+            assert verdicts == [(r.detected, r.reason) for r in reference]
+            if jitters == (0.0, 0.0):
+                assert not any(detected for detected, _ in verdicts)
+            else:
+                for fault, state in zip(faults, sweep.rng_states):
+                    assert state == _standalone_rng_states(
+                        _inject_fault(netlist, fault), _fifo_rules(), stimuli,
+                        30_000.0, 11, jitters,
+                    )
+        finally:
+            engine.close()
+
+    def test_settle_deviators_run_whole_and_match_reference(self, fifo_bm):
+        netlist = fifo_bm.netlist
+        stimuli = [("li", 1, 50.0)]
+        jitters = (0.1, 0.25)
+        kwargs = dict(
+            duration_ps=12_000.0, seed=5, delay_jitter=jitters[0],
+            environment_jitter=jitters[1],
+        )
+        engine = FaultSimEngine(netlist, _fifo_rules(), stimuli, **kwargs)
+        try:
+            sweep = engine._sweep
+            index = engine.compiled.net_index
+            faults = [
+                fault
+                for fault in enumerate_faults(netlist)
+                if sweep._settles_apart(index[fault.net], fault.value)
+            ]
+            assert StuckAtFault("lo", 1) in faults
+            verdicts = engine.run(faults, use_processes=False)
+            reference = _reference_simulate_faults(
+                netlist, _fifo_rules(), stimuli, faults=faults, **kwargs
+            )
+            assert verdicts == [(r.detected, r.reason) for r in reference]
+            for fault, (_detected, reason), state in zip(
+                faults, verdicts, sweep.rng_states
+            ):
+                if not reason.startswith(REASON_ABNORMAL):
+                    assert state == _standalone_rng_states(
+                        _inject_fault(netlist, fault), _fifo_rules(), stimuli,
+                        12_000.0, 5, jitters,
+                    )
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_pooled_chain8_matches_in_process(self, fifo_rt, shards, monkeypatch):
+        from repro.engine import pool, resilience
+
+        netlist = chain_handshake_cells(fifo_rt.netlist, 8)
+        stimuli = [("s0_li", 1, 50.0)]
+        local = simulate_faults(
+            netlist, _chain_rules(8), stimuli, duration_ps=30_000.0,
+            use_processes=False,
+        )
+        dispatched = []
+        supervised_map = resilience.supervised_map
+
+        def spy(executor, fn, items, **kwargs):
+            dispatched.append(len(items))
+            return supervised_map(executor, fn, items, **kwargs)
+
+        monkeypatch.setattr(resilience, "supervised_map", spy)
+        pooled = simulate_faults(
+            netlist, _chain_rules(8), stimuli, duration_ps=30_000.0,
+            shards=shards, use_processes=True,
+        )
+        assert pool.LAST_DECISION["use_pool"]
+        assert _campaign_signature(pooled) == _campaign_signature(local)
+        # Several small chunks per worker, not one aliased slice each.
+        assert dispatched and all(shards < chunks <= 4 * shards for chunks in dispatched)
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 7, 8, 12, 1_000])
+    def test_chunk_split_is_contiguous_and_keeps_nets_together(self, fifo_rt, chunks):
+        netlist = chain_handshake_cells(fifo_rt.netlist, 4)
+        index = {net: slot for slot, net in enumerate(sorted(netlist.nets))}
+        slot_faults = [
+            (index[fault.net], fault.value) for fault in enumerate_faults(netlist)
+        ]
+        slot_faults.append((-1, 1))  # an unknown net rides along
+        bounds = _chunk_bounds(slot_faults, chunks)
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(slot_faults)
+        assert all(end == nxt for (_s, end), (nxt, _e) in zip(bounds, bounds[1:]))
+        assert all(start < end for start, end in bounds)
+        assert len(bounds) <= chunks
+        chunk_of_net = {}
+        for chunk, (start, end) in enumerate(bounds):
+            for slot, _value in slot_faults[start:end]:
+                chunk_of_net.setdefault(slot, set()).add(chunk)
+        assert all(len(chunk_set) == 1 for chunk_set in chunk_of_net.values())
+        assert {value for _slot, value in slot_faults[:2]} == {0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,54 @@ class TestPeriodHuntRule:
         assert lint_contracts.check_period_hunt(engine) == []
 
 
+class TestSingleEventLoopRule:
+    def test_second_event_loop_reported(self, tmp_path):
+        engine = tmp_path / "engine"
+        module = write(
+            engine / "faultsim.py",
+            """\
+            from heapq import heappop
+
+            def leader(heap_times, buckets):
+                while heap_times:
+                    batch_time = heappop(heap_times)
+                    buckets.pop(batch_time)
+            """,
+        )
+        findings = lint_contracts.check_single_event_loop(engine)
+        assert [(f.rule, f.line) for f in findings] == [("single-event-loop", 5)]
+        assert findings[0].describe().startswith(f"{module}:5:")
+        assert len(lint_contracts.run(tmp_path, engine, tmp_path / "t.py")) == 1
+
+    def test_module_qualified_call_reported(self, tmp_path):
+        engine = tmp_path / "engine"
+        write(
+            engine / "sweep" / "loop.py",
+            "import heapq\n\ntime = heapq.heappop([1.0])\n",
+        )
+        findings = lint_contracts.check_single_event_loop(engine)
+        assert [f.line for f in findings] == [3]
+
+    def test_owners_and_mentions_pass(self, tmp_path):
+        engine = tmp_path / "engine"
+        write(
+            engine / "simkernel.py",
+            "from heapq import heappop\n\ndef drain(times):\n    return heappop(times)\n",
+        )
+        write(
+            engine / "events.py",
+            """\
+            import heapq
+
+            class BatchEventQueue:
+                def pop_batch(self):
+                    return heapq.heappop(self._times)
+            """,
+        )
+        write(engine / "faultsim.py", "from heapq import heappop\nPOP = heappop\n")
+        assert lint_contracts.check_single_event_loop(engine) == []
+
+
 class TestClosureSelfReferenceRule:
     def test_self_calling_nested_def_reported(self, tmp_path):
         src = tmp_path / "src"
