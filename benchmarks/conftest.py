@@ -9,15 +9,24 @@ disables pytest-benchmark's calibration rounds and makes the engine
 benchmarks (benchmarks/test_bench_engine.py) shrink their workloads and
 skip their timing assertions -- every benchmark still runs end to end as
 a functional smoke test.
+
+Summaries (``BENCH_*.json``) are written to the gitignored
+``.benchmarks/`` directory through the ``bench_dir`` fixture, never over
+the committed baselines at the repo root; ``scripts/check.sh
+--update-baselines`` is what copies a full run over them.
 """
 
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
 BENCH_QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
+
+#: Output directory of benchmark summaries (listed in .gitignore).
+BENCH_DIR = Path(__file__).resolve().parent.parent / ".benchmarks"
 
 
 def pytest_configure(config):
@@ -67,3 +76,10 @@ def fifo_rt_user():
 @pytest.fixture(scope="session")
 def fifo_pulse(fifo_rt_user):
     return to_pulse_mode(fifo_rt_user)
+
+
+@pytest.fixture(scope="session")
+def bench_dir() -> Path:
+    """The directory benchmarks write their ``BENCH_*.json`` files to."""
+    BENCH_DIR.mkdir(exist_ok=True)
+    return BENCH_DIR

@@ -32,6 +32,10 @@ at realistic scale.
 ``REPRO_BENCH_QUICK=1`` (see benchmarks/conftest.py and scripts/check.sh)
 shrinks the workloads and skips the timing assertions -- parity is still
 checked, making the quick mode a functional smoke test.
+
+The BENCH files land in the gitignored ``.benchmarks/`` directory (the
+``bench_dir`` fixture); ``scripts/check.sh --update-baselines`` copies
+them over the committed baselines at the repo root.
 """
 
 import gc
@@ -222,7 +226,7 @@ def _best_time(function, rounds):
     return best
 
 
-def test_bench_engine_simulator_kernel_speedup():
+def test_bench_engine_simulator_kernel_speedup(bench_dir):
     """Opcode kernel vs reference simulator; writes ``BENCH_sim.json``.
 
     Both netlists run free (no environment), so every measured second is
@@ -281,7 +285,7 @@ def test_bench_engine_simulator_kernel_speedup():
         if drain_speedup < REQUIRED_SPEEDUP:
             failures.append((label, drain_speedup))
 
-    out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_sim.json")
+    out_path = bench_dir / "BENCH_sim.json"
     with open(out_path, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -389,7 +393,7 @@ def _jittered_campaign_corpus(fifo_rt, fifo_si):
     }
 
 
-def test_bench_engine_faultsim_campaign(fifo_rt, fifo_si, fifo_bm):
+def test_bench_engine_faultsim_campaign(fifo_rt, fifo_si, fifo_bm, bench_dir):
     """Batch fault engine vs the per-fault reference on the FIFO corpus.
 
     Verdicts (detected/undetected, reason strings) are asserted identical
@@ -556,7 +560,7 @@ def test_bench_engine_faultsim_campaign(fifo_rt, fifo_si, fifo_bm):
         f"-> {speedup:.2f}x"
     )
 
-    out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_faultsim.json")
+    out_path = bench_dir / "BENCH_faultsim.json"
     with open(out_path, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -578,7 +582,7 @@ def test_bench_engine_faultsim_campaign(fifo_rt, fifo_si, fifo_bm):
         )
 
 
-def test_bench_engine_faultsim_sharded_wallclock(fifo_rt):
+def test_bench_engine_faultsim_sharded_wallclock(fifo_rt, bench_dir):
     """Sharded fault campaigns: bit-identity always, wall-clock gated.
 
     Splits a chained-FIFO campaign over the persistent pool (forced, so
@@ -639,7 +643,7 @@ def test_bench_engine_faultsim_sharded_wallclock(fifo_rt):
         f"[{decision.get('payload', decision.get('reason'))}]"
     )
 
-    out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_faultsim.json")
+    out_path = bench_dir / "BENCH_faultsim.json"
     summary = {}
     if os.path.exists(out_path):
         with open(out_path) as handle:
@@ -675,7 +679,7 @@ COLLAPSE_REQUIRED_RATIO = 0.25
 COLLAPSE_REQUIRED_FAULT_SPEEDUP = 1.3
 
 
-def test_bench_engine_faultsim_collapsed(fifo_rt, fifo_si, fifo_bm):
+def test_bench_engine_faultsim_collapsed(fifo_rt, fifo_si, fifo_bm, bench_dir):
     """Static fault collapsing on the buffered corpus; appends to the summary.
 
     Builds the Table 2 cells plus chained FIFOs with driven inter-stage
@@ -804,7 +808,7 @@ def test_bench_engine_faultsim_collapsed(fifo_rt, fifo_si, fifo_bm):
         f"{repeat_misses} misses"
     )
 
-    out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_faultsim.json")
+    out_path = bench_dir / "BENCH_faultsim.json"
     summary = {}
     if os.path.exists(out_path):
         with open(out_path) as handle:
@@ -861,7 +865,7 @@ def test_bench_engine_rappid_throughput_summary():
 RESILIENCE_MAX_OVERHEAD_PERCENT = 2.0
 
 
-def test_bench_engine_faultsim_resilience(fifo_rt):
+def test_bench_engine_faultsim_resilience(fifo_rt, bench_dir):
     """Resilient dispatch: healthy-path overhead + salvage under chaos.
 
     Two rows of evidence for the supervision layer, appended to
@@ -962,7 +966,7 @@ def test_bench_engine_faultsim_resilience(fifo_rt):
     assert health.get("outcome") == "ok"
     engine_pool.shutdown()
 
-    out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_faultsim.json")
+    out_path = bench_dir / "BENCH_faultsim.json"
     summary = {}
     if os.path.exists(out_path):
         with open(out_path) as handle:

@@ -7,7 +7,7 @@ marking graph grows exponentially in bytes x columns (66k states at
 :func:`repro.petrinet.reachability.explore` stays near-linear because
 the marked-graph structure collapses every stubborn set to a singleton.
 
-Emits ``BENCH_reach.json`` at the repo root:
+Emits ``BENCH_reach.json`` in the gitignored ``.benchmarks/`` directory:
 
 * per feasible size: full and reduced state counts, the reduction
   ratio (gated >= 5x on the multi-column sizes), and best wall-clock
@@ -56,7 +56,7 @@ def _best_of(fn, rounds):
     return result, best
 
 
-def test_bench_reach_full_vs_reduced():
+def test_bench_reach_full_vs_reduced(bench_dir):
     rounds = 1 if QUICK else 3
     summary = {"quick": QUICK, "full_cap": FULL_CAP, "cases": {}}
 
@@ -132,7 +132,7 @@ def test_bench_reach_full_vs_reduced():
             f"deadlock-free in {len(reduced)} states ({reduced_s:.4f}s)"
         )
 
-    out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_reach.json")
+    out_path = bench_dir / "BENCH_reach.json"
     with open(out_path, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")

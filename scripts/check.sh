@@ -1,15 +1,31 @@
 #!/usr/bin/env bash
 # Repository check: tier-1 tests plus a quick-mode benchmark smoke.
 #
-#   ./scripts/check.sh          # tests, then benchmarks in quick mode
-#   ./scripts/check.sh --full   # tests, then full benchmarks (timing asserts on)
+#   ./scripts/check.sh                     # tests, then benchmarks in quick mode
+#   ./scripts/check.sh --full              # tests, then full benchmarks (timing asserts on)
+#   ./scripts/check.sh --update-baselines  # as --full, then copy the fresh
+#                                          # BENCH files over the committed ones
 #
 # Quick mode sets REPRO_BENCH_QUICK=1, which benchmarks/conftest.py and
 # benchmarks/test_bench_engine.py honour by shrinking workloads and
 # skipping speedup assertions (documented in ROADMAP.md, Open items).
+# Benchmarks write their BENCH_*.json files to the gitignored
+# .benchmarks/ directory; only --update-baselines touches the committed
+# copies at the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+FULL=0
+UPDATE_BASELINES=0
+for arg in "$@"; do
+    case "$arg" in
+        --full) FULL=1 ;;
+        --update-baselines) FULL=1; UPDATE_BASELINES=1 ;;
+        *) echo "usage: $0 [--full] [--update-baselines]" >&2; exit 2 ;;
+    esac
+done
+export BENCH_DIR=.benchmarks
 
 echo "== contract lint (oracles + reductions + pinned RNG + handlers) =="
 python scripts/lint_contracts.py
@@ -48,7 +64,7 @@ python -m repro.service.loadgen --smoke
 BENCH_STAMP="$(mktemp)"
 trap 'rm -f "$BENCH_STAMP"' EXIT
 
-if [[ "${1:-}" == "--full" ]]; then
+if [[ "$FULL" == 1 ]]; then
     echo "== benchmarks (full) =="
     python -m pytest -q benchmarks
 else
@@ -56,27 +72,26 @@ else
     REPRO_BENCH_QUICK=1 python -m pytest -q benchmarks
 fi
 
-# Machine-readable perf trajectories, written by
+# Machine-readable perf trajectories, written to $BENCH_DIR by
 # benchmarks/test_bench_engine.py and benchmarks/test_bench_reach.py
 # (quick mode marks the files "quick": true and skips the timing
 # assertions):
 #   BENCH_sim.json       reference vs opcode-kernel transitions/sec
 #   BENCH_faultsim.json  per-fault reference vs batch fault engine + coverage
 #   BENCH_reach.json     full vs partial-order-reduced reachability states
-#   BENCH_service.json   decode-service requests/s + p50/p99 latency +
-#                        coalescing ratio at 1/10/100 concurrent clients
 # In --full mode all files must exist and have been rewritten by the
 # benchmark run just above -- a missing or stale file means the summary
 # test silently stopped running, which should fail loudly here.
-for bench_file in BENCH_sim.json BENCH_faultsim.json BENCH_reach.json BENCH_service.json; do
+for bench_name in BENCH_sim.json BENCH_faultsim.json BENCH_reach.json; do
+    bench_file="$BENCH_DIR/$bench_name"
     if [[ ! -f "$bench_file" ]]; then
-        if [[ "${1:-}" == "--full" ]]; then
+        if [[ "$FULL" == 1 ]]; then
             echo "check.sh: FAIL - $bench_file was not produced" >&2
             exit 1
         fi
         continue
     fi
-    if [[ "${1:-}" == "--full" && ! "$bench_file" -nt "$BENCH_STAMP" ]]; then
+    if [[ "$FULL" == 1 && ! "$bench_file" -nt "$BENCH_STAMP" ]]; then
         echo "check.sh: FAIL - $bench_file is stale (not refreshed by this run)" >&2
         exit 1
     fi
@@ -91,10 +106,10 @@ done
 # supervised dispatch, gated <2% in full mode, plus the PoolHealth of a
 # chaos-salvaged campaign).  A missing row means that benchmark
 # silently stopped running.
-if [[ "${1:-}" == "--full" && -f BENCH_faultsim.json ]]; then
+if [[ "$FULL" == 1 && -f "$BENCH_DIR/BENCH_faultsim.json" ]]; then
     python - <<'EOF'
-import json, sys
-summary = json.load(open("BENCH_faultsim.json"))
+import json, os, sys
+summary = json.load(open(os.path.join(os.environ["BENCH_DIR"], "BENCH_faultsim.json")))
 required = ("collapsed", "compile_cache", "resilience")
 missing = [key for key in required if key not in summary]
 if missing:
@@ -116,25 +131,12 @@ print(
 EOF
 fi
 
-# The service summary must carry all three concurrency levels; a
-# missing level means the benchmark silently stopped sweeping.
-if [[ "${1:-}" == "--full" && -f BENCH_service.json ]]; then
-    python - <<'EOF'
-import json, sys
-summary = json.load(open("BENCH_service.json"))
-levels = summary.get("levels", {})
-missing = [level for level in ("1", "10", "100") if level not in levels]
-if missing:
-    print(f"check.sh: FAIL - BENCH_service.json lacks levels {missing}", file=sys.stderr)
-    sys.exit(1)
-for level in ("1", "10", "100"):
-    row = levels[level]
-    print(
-        f"service @{level} clients: {row['requests_per_s']} req/s, "
-        f"p50 {row['p50_latency_s'] * 1000:.1f} ms, "
-        f"p99 {row['p99_latency_s'] * 1000:.1f} ms, "
-        f"coalescing {row['coalescing_ratio']}x"
-    )
-EOF
+# The committed baselines (BENCH_sim.json, BENCH_faultsim.json at the
+# repo root) move only here, from the full run just checked above.
+if [[ "$UPDATE_BASELINES" == 1 ]]; then
+    for bench_name in BENCH_sim.json BENCH_faultsim.json; do
+        cp "$BENCH_DIR/$bench_name" "$bench_name"
+        echo "== baseline updated: $bench_name =="
+    done
 fi
 echo "check.sh: OK"

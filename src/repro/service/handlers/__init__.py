@@ -1,15 +1,13 @@
 """Capability handlers: one module per engine capability.
 
-Each handler module exposes the same four-name surface:
+Each handler module exposes the same three-name surface:
 
 ``NAME``
     The capability string clients put in their request frames.
-``batch_key(params) -> str``
-    The coalescing key: requests with equal ``(NAME, batch_key)`` may
-    share one engine batch (see :mod:`repro.service.batcher`).  Keys
-    must depend only on ``params``.
 ``cost(params) -> float``
     The request's weight-normalised cost charged by the fair scheduler.
+    Admission calls it before queueing, so it is also where a handler
+    rejects bad or over-cap params (``ValueError`` naming the field).
 ``run(params, emit) -> dict``
     Execute the capability and return the result payload (a
     JSON-serialisable dict).  ``emit(chunk)`` streams partial-result
@@ -25,7 +23,7 @@ built on :func:`repro.engine.resilience.supervised_map` --
 every module in this package.
 
 :func:`register` lets tests and embedders add ad-hoc capabilities (any
-object carrying the four names); the stock registry maps the three
+object carrying the three names); the stock registry maps the three
 engine capabilities of ROADMAP item 2.
 """
 
@@ -46,13 +44,13 @@ HANDLERS: Dict[str, Any] = {
 def register(handler: Any) -> None:
     """Add (or replace) a capability handler at runtime.
 
-    ``handler`` must expose ``NAME``, ``batch_key``, ``cost`` and
-    ``run`` as described in the module docstring.  Used by the test
-    battery to install controllable capabilities (e.g. a gate-blocked
-    sleeper for cancellation tests); production capabilities live as
-    modules in this package so the contract lint covers them.
+    ``handler`` must expose ``NAME``, ``cost`` and ``run`` as described
+    in the module docstring.  Used by the test battery to install
+    controllable capabilities (e.g. a gate-blocked sleeper for
+    cancellation tests); production capabilities live as modules in
+    this package so the contract lint covers them.
     """
-    for attribute in ("NAME", "batch_key", "cost", "run"):
+    for attribute in ("NAME", "cost", "run"):
         if not hasattr(handler, attribute):
             raise ValueError(f"handler lacks required attribute {attribute!r}")
     HANDLERS[handler.NAME] = handler

@@ -24,7 +24,6 @@ events stream the undetected rows in chunks.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -46,31 +45,6 @@ COST_UNIT_DURATION_PS = 10_000.0
 MAX_DURATION_PS = 1_000_000.0
 #: Longest ``fifo_rt_chain:N`` one request may name.
 MAX_CHAIN_STAGES = 64
-
-_CAMPAIGN_KEYS = (
-    "circuit",
-    "duration_ps",
-    "seed",
-    "delay_jitter",
-    "environment_jitter",
-    "shards",
-    "use_processes",
-    "collapse",
-)
-
-
-def batch_key(params: Dict[str, Any]) -> str:
-    """Coalesce campaigns sharing a circuit and every campaign knob.
-
-    Identical campaigns from different tenants land in one batch and
-    compile their netlist once through the analysis-manager cache.
-    """
-    return json.dumps(
-        {key: params.get(key) for key in _CAMPAIGN_KEYS},
-        sort_keys=True,
-        default=str,
-    )
-
 
 def cost(params: Dict[str, Any]) -> float:
     duration = float(params.get("duration_ps", 10_000.0))

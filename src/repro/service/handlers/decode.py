@@ -19,7 +19,6 @@ covers the whole run.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from array import array
 from functools import lru_cache
@@ -50,30 +49,14 @@ def trajectory_signature(values: Sequence[float]) -> str:
     return hashlib.sha256(buffer).hexdigest()
 
 
-def _canonical(params: Dict[str, Any], keys: Sequence[str]) -> str:
-    return json.dumps(
-        {key: params.get(key) for key in keys}, sort_keys=True, default=str
-    )
-
-
-def batch_key(params: Dict[str, Any]) -> str:
-    """Coalesce decode requests sharing a config.
-
-    The workload (seed, instruction count) is excluded on purpose:
-    streams differing only in content ride one batch; the config alone
-    determines the engine path taken.  Admission calls this first, so an
-    unknown parameter is rejected here, before the request is queued.
-    """
+def cost(params: Dict[str, Any]) -> float:
+    """Scheduler cost; rejects unknown params and over-cap streams."""
     unknown = set(params) - set(_PARAMS)
     if unknown:
         raise ValueError(
             f"unknown decode params {sorted(unknown)}; expected a subset of "
             f"{list(_PARAMS)}"
         )
-    return _canonical(params, ("config",))
-
-
-def cost(params: Dict[str, Any]) -> float:
     count = int(params.get("instructions", 2_000))
     if count > MAX_INSTRUCTIONS:
         raise ValueError(
@@ -88,8 +71,8 @@ def _workload(
 ) -> Tuple[InstructionStream, CacheLines]:
     """Deterministic (instructions, lines) for a request's workload knobs.
 
-    Cached so coalesced batches repeating a workload (the load
-    generator's steady state) skip regeneration.  The cached values are
+    Cached so requests repeating a workload (the load generator's
+    steady state) skip regeneration.  The cached values are
     the generator's read-only columnar views, which ``run`` reads
     without copying.
     """

@@ -37,16 +37,6 @@ COST_UNIT_STATES = 50_000.0
 #: Largest ``max_states`` budget one request may ask for.
 MAX_STATES = 1_000_000
 
-_KEYS = ("spec", "max_states", "reduction")
-
-
-def batch_key(params: Dict[str, Any]) -> str:
-    """Coalesce explorations of the same spec under the same budget."""
-    return json.dumps(
-        {key: params.get(key) for key in _KEYS}, sort_keys=True, default=str
-    )
-
-
 def cost(params: Dict[str, Any]) -> float:
     max_states = float(params.get("max_states", 50_000))
     if not max_states <= MAX_STATES:

@@ -2,18 +2,19 @@
 
 Drives a local :class:`~repro.service.server.DecodeService` with ``N``
 concurrent client sessions issuing back-to-back requests, and reports
-requests/s, latency quantiles, the coalescing ratio, and the
-reject/retry counts.  The benchmark suite
-(``benchmarks/test_bench_service.py``) calls :func:`run_load` at
-concurrency 1 / 10 / 100 to fill ``BENCH_service.json``; ``check.sh``
-runs the one-line smoke::
+requests/s, latency quantiles, requests per lane batch, and the
+reject/retry counts.  Client and server share one event loop here, so
+the timings are a rough guide; ``perfbench``'s ``service`` workload
+measures the server from a separate load process.  The service tests
+call :func:`run_load` at 1 / 10 / 100 sessions for its completion
+counts; ``check.sh`` runs the one-line smoke::
 
     PYTHONPATH=src python -m repro.service.loadgen --smoke
 
 which boots a server in-process, pushes a small mixed workload through
 a few sessions, verifies one decode response bit-identical to the
 direct engine call, and exits non-zero on any mismatch -- the cheapest
-end-to-end proof that the service stack (protocol, scheduler, batcher,
+end-to-end proof that the service stack (protocol, scheduler, lanes,
 handlers, engine) still holds together.
 """
 
@@ -81,8 +82,8 @@ class LoadReport:
 def default_workload(index: int) -> Dict[str, Any]:
     """The canonical small decode request the load generator repeats.
 
-    Every client reuses a tiny set of seeds so coalescing has something
-    to win: requests sharing the config coalesce regardless of seed.
+    Every client reuses a tiny set of seeds, so repeated workloads hit
+    the decode handler's workload cache.
     """
     return {
         "capability": "decode",

@@ -3,10 +3,12 @@
 The scheduler is the service's pure, deterministic core: it never reads
 the clock, never draws randomness beyond its construction arguments, and
 every decision is a function of the arrival sequence alone.  The asyncio
-front end (:mod:`repro.service.server`) drives it from the event loop;
-the hypothesis property suite (``tests/test_service_scheduler.py``)
-drives it directly with random arrival sequences and asserts the three
-contracts the service depends on:
+front end (:mod:`repro.service.server`) drives it from the event loop
+and cuts each lane batch from consecutive ``next()`` calls, so the fair
+order is also the order in which handlers run.  The hypothesis property
+suite (``tests/test_service_scheduler.py``) drives it directly with
+random arrival sequences and asserts the three contracts the service
+depends on:
 
 * **No tenant starvation** -- every admitted request is dispatched after
   finitely many ``next()`` calls, regardless of what other tenants
@@ -81,8 +83,6 @@ class Entry:
 
     seq: int
     tenant: str
-    capability: str
-    batch_key: str
     cost: float
     virtual_finish: float
     payload: Any = None
@@ -176,8 +176,6 @@ class FairScheduler:
     def offer(
         self,
         tenant: str,
-        capability: str,
-        batch_key: str,
         *,
         cost: float = 1.0,
         payload: Any = None,
@@ -205,8 +203,6 @@ class FairScheduler:
         entry = Entry(
             seq=seq,
             tenant=tenant,
-            capability=capability,
-            batch_key=batch_key,
             cost=cost,
             virtual_finish=finish,
             payload=payload,
@@ -241,16 +237,6 @@ class FairScheduler:
                 self._tenant_depth.pop(entry.tenant, None)
             self._virtual_time = max(self._virtual_time, finish)
             return entry
-        return None
-
-    def peek_key(self) -> Optional[Tuple[str, str]]:
-        """(capability, batch_key) of the next dispatch, or ``None``."""
-        while self._heap:
-            _finish, seq, entry = self._heap[0]
-            if entry.cancelled or seq not in self._entries:
-                heapq.heappop(self._heap)
-                continue
-            return (entry.capability, entry.batch_key)
         return None
 
     def entry_of(self, seq: int) -> Optional[Entry]:

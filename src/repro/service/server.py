@@ -1,15 +1,18 @@
-"""Asyncio front end: protocol, session lifecycle, batch dispatch.
+"""Asyncio front end: protocol, session lifecycle, lane batches.
 
 ``DecodeService`` is the long-lived entry point of ROADMAP item 2: many
 clients hold newline-delimited-JSON sessions against one server, which
 admits their decode / coverage / reachability requests through the
-weighted fair scheduler (:mod:`repro.service.scheduler`), coalesces
-compatible requests into engine batches
-(:mod:`repro.service.batcher`), executes each batch on a small pool of
-engine lanes (threads -- the engine parallelises across *processes*
-underneath, via the persistent pool and
+weighted fair scheduler (:mod:`repro.service.scheduler`), hands them to
+a small pool of engine lanes (threads -- the engine parallelises across
+*processes* underneath, via the persistent pool and
 :func:`repro.engine.resilience.supervised_map`), and streams partial
-results back per session while batches run.
+results back per session while the engine works.
+
+Each lane job is a **lane batch**: the next ``window`` queued requests
+in fair order, whatever their capabilities, run back to back on one
+lane.  A batch shares no engine work; it amortises the event-loop to
+lane hand-off over its requests (``docs/service.md``, "Lane batches").
 
 Wire protocol (one JSON object per line, both directions)::
 
@@ -42,7 +45,7 @@ bounded-queue admission control: a full queue rejects with
 
 Failure injection: the per-session writer consults
 :func:`repro.engine.chaos.client_delay` (the ``slow-client`` point)
-before each frame, and engine batches inherit the active
+before each frame, and lane batches inherit the active
 :class:`~repro.engine.chaos.ChaosPlan` exactly as scripted campaigns do
 -- the chaos battery pins service payloads bit-identical under both.
 """
@@ -53,12 +56,12 @@ import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.engine import chaos
 from repro.service import trace as trace_mod
 from repro.service import handlers as handler_registry
-from repro.service.batcher import Batch, Batcher
 from repro.service.scheduler import Entry, FairScheduler
 
 _CLOSE = object()  # writer-task sentinel
@@ -101,8 +104,8 @@ class ServiceConfig:
     tenant_capacity: Optional[int] = None  # per-tenant bound (None = capacity)
     default_weight: float = 1.0
     throttle_ratio: float = 0.5
-    window: int = 8  # max requests coalesced into one engine batch
-    engine_lanes: int = 1  # concurrent engine batches (threads)
+    window: int = 8  # max requests per lane batch
+    engine_lanes: int = 1  # concurrent lane batches (threads)
 
 
 @dataclass
@@ -160,7 +163,8 @@ class DecodeService:
             default_weight=self.config.default_weight,
             throttle_ratio=self.config.throttle_ratio,
         )
-        self.batcher = Batcher(window=self.config.window)
+        if self.config.window < 1:
+            raise ValueError("window must be at least 1")
         self.metrics: Dict[str, int] = {
             "requests": 0,
             "admitted": 0,
@@ -171,6 +175,8 @@ class DecodeService:
             "partials": 0,
             "disconnects": 0,
             "sessions": 0,
+            "requests_batched": 0,
+            "batches_built": 0,
         }
         self._auto_dispatch = auto_dispatch
         self._engine: Optional[ThreadPoolExecutor] = None
@@ -341,9 +347,7 @@ class DecodeService:
             weight = frame.get("weight")
             if weight is not None:
                 self.scheduler.set_weight(tenant, _tenant_weight(weight))
-            handler = handler_registry.get(capability)
-            key = handler.batch_key(params)
-            request_cost = handler.cost(params)
+            request_cost = handler_registry.get(capability).cost(params)
         except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
             self.metrics["errors"] += 1
             session.post(
@@ -363,9 +367,7 @@ class DecodeService:
             params=dict(params),
             trace=record,
         )
-        admission = self.scheduler.offer(
-            tenant, capability, key, cost=request_cost, payload=state
-        )
+        admission = self.scheduler.offer(tenant, cost=request_cost, payload=state)
         record["admission"] = admission.as_dict()
         if not admission.admitted:
             self.metrics["rejected"] += 1
@@ -504,6 +506,22 @@ class DecodeService:
                 if not started:
                     break
 
+    def _take(self) -> List[_Request]:
+        """Pop the next lane batch: up to ``window`` requests, fair order."""
+        queued = iter(self.scheduler.next, None)
+        states = [entry.payload for entry in islice(queued, self.config.window)]
+        for position, state in enumerate(states):
+            state.status = "running"
+            state.trace["batch"] = {
+                "id": self.metrics["batches_built"],
+                "position": position,
+                "size": len(states),
+            }
+        if states:
+            self.metrics["batches_built"] += 1
+            self.metrics["requests_batched"] += len(states)
+        return states
+
     async def _launch_one_batch(self) -> bool:
         assert self._lane_sem is not None
         await self._lane_sem.acquire()
@@ -511,28 +529,27 @@ class DecodeService:
             # Woken by shutdown: leave the queue for the drain pass.
             self._lane_sem.release()
             return False
-        batches = self.batcher.compose(self.scheduler, max_batches=1)
-        if not batches:
+        states = self._take()
+        if not states:
             self._lane_sem.release()
             return False
-        task = asyncio.create_task(self._run_batch(batches[0]))
+        task = asyncio.create_task(self._run_batch(states))
         self._batch_tasks.add(task)
         task.add_done_callback(self._batch_tasks.discard)
         return True
 
     async def dispatch_once(self) -> int:
-        """Compose and run one batch to completion (deterministic mode).
+        """Take and run one lane batch to completion (deterministic mode).
 
         Returns the number of requests the batch carried (0 = nothing
         queued).  Available regardless of ``auto_dispatch``; the test
         battery uses it to pin batch composition and cancellation
         windows without racing a background dispatcher.
         """
-        batches = self.batcher.compose(self.scheduler, max_batches=1)
-        if not batches:
-            return 0
-        await self._run_batch(batches[0], own_lane=False)
-        return batches[0].size
+        states = self._take()
+        if states:
+            await self._run_batch(states, own_lane=False)
+        return len(states)
 
     def resume_dispatch(self) -> None:
         """Enable the background dispatcher on an auto_dispatch=False service."""
@@ -541,22 +558,13 @@ class DecodeService:
             self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._work.set()
 
-    async def _run_batch(self, batch: Batch, *, own_lane: bool = True) -> None:
+    async def _run_batch(
+        self, states: List[_Request], *, own_lane: bool = True
+    ) -> None:
         loop = asyncio.get_running_loop()
-        states: List[_Request] = []
-        for position, entry in enumerate(batch.entries):
-            state = entry.payload
-            state.status = "running"
-            state.trace["batch"] = {
-                "id": batch.id,
-                "key": batch.key[1],
-                "position": position,
-                "size": batch.size,
-            }
-            states.append(state)
         try:
             outcomes = await loop.run_in_executor(
-                self._engine, self._execute_batch, loop, batch, states
+                self._engine, self._execute_batch, loop, states
             )
         finally:
             if own_lane and self._lane_sem is not None:
@@ -600,10 +608,7 @@ class DecodeService:
                 )
 
     def _execute_batch(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        batch: Batch,
-        states: List[_Request],
+        self, loop: asyncio.AbstractEventLoop, states: List[_Request]
     ) -> List[Tuple[str, Any]]:
         """Run a batch's requests back to back on one engine lane.
 
@@ -613,7 +618,6 @@ class DecodeService:
         lane's decisions.  Partial chunks are posted to the owning
         session through the loop (thread-safe hand-off).
         """
-        handler = handler_registry.get(batch.capability)
         outcomes: List[Tuple[str, Any]] = []
         for state in states:
             if state.cancel_requested or state.session.closed:
@@ -636,6 +640,7 @@ class DecodeService:
                 loop.call_soon_threadsafe(_state.session.post, frame)
 
             try:
+                handler = handler_registry.get(state.capability)
                 payload = handler.run(state.params, emit)
                 trace_mod.record_engine(state.trace)
             except Exception as exc:  # application error: report, isolate
@@ -658,5 +663,9 @@ class DecodeService:
             "queued": len(self.scheduler),
             "pressure": round(self.scheduler.pressure(), 4),
             "backpressure": self.scheduler.backpressure_level(),
-            **self.batcher.stats(),
+            "coalescing_ratio": round(
+                self.metrics["requests_batched"]
+                / max(self.metrics["batches_built"], 1),
+                4,
+            ),
         }

@@ -26,11 +26,10 @@ Trace schema (all sections optional until the request reaches them)::
         "backpressure": "accept" | "throttle" | "reject",
         "virtual_finish": float, # WFQ finish tag (admitted only)
       },
-      "batch": {                 # batcher composition decision
-        "id": int,
-        "key": str,              # coalescing key the batch shares
+      "batch": {                 # the lane batch that ran it
+        "id": int,               # batches numbered from 0 per service
         "position": int,         # this request's slot in the batch
-        "size": int,             # requests coalesced into the batch
+        "size": int,             # requests in the batch (<= window)
       },
       "cancelled": {"stage": "queued" | "running" | "shutdown"},
       "engine": {                # snapshots taken after the engine call

@@ -8,14 +8,18 @@ contracts the service layer claims:
 * responses (and streamed partials) **bit-identical** to the same call
   made directly against the engine APIs;
 * deterministic N-client interleaving under the seeded fair scheduler
-  -- same arrival order in, same admission/batch decisions out;
+  -- same arrival order in, same admission/batch decisions out, with
+  handlers run in fair order and lane batches cut at ``window`` only;
 * cancellation before dispatch (``stage="queued"``) and after batch
   admission (``stage="running"``), with the engine result discarded;
 * client disconnect mid-stream withdraws only that session's work;
 * shutdown drains in-flight batches and cancels queued requests with
   ``stage="shutdown"``;
 * bounded-queue backpressure rejects (``queue-full`` / ``tenant-quota``)
-  with a retry hint instead of buffering without limit.
+  with a retry hint instead of buffering without limit;
+* every request resolves at 1, 10 and 100 concurrent sessions;
+* a hypothesis protocol fuzz: random frame mixes on two sessions give
+  each request exactly one terminal event and kill no session.
 
 Each test runs its own event loop via ``asyncio.run`` (the repo carries
 no pytest-asyncio); gate-blocked test capabilities are installed through
@@ -29,8 +33,11 @@ import json
 import math
 import struct
 import threading
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.rappid.microarch import RappidConfig, RappidDecoder
 from repro.rappid.workload import WorkloadGenerator
@@ -46,6 +53,7 @@ from repro.service import handlers as handler_registry
 from repro.service.handlers import coverage as coverage_handler
 from repro.service.handlers import decode as decode_handler
 from repro.service.handlers import reachability as reachability_handler
+from repro.service.loadgen import run_load
 from repro.testability import stuck_at_coverage
 
 
@@ -70,9 +78,6 @@ class _GateHandler:
         self.started = threading.Event()
         self.release = threading.Event()
         self.runs = 0
-
-    def batch_key(self, params):
-        return str(params.get("key", "gate"))
 
     def cost(self, params):
         return float(params.get("cost", 1.0))
@@ -377,23 +382,40 @@ class TestMalformedFrames:
         assert pong == {"event": "pong"}
 
 
+class _Recorder:
+    """Handler proxy that logs each run's request before delegating."""
+
+    def __init__(self, handler, log):
+        self.NAME = handler.NAME
+        self.cost = handler.cost
+        self._handler = handler
+        self._log = log
+
+    def run(self, params, emit):
+        self._log.append((self.NAME, params))
+        return self._handler.run(params, emit)
+
+
 class TestDeterministicInterleaving:
     #: (tenant index, capability, params) arrival script shared by runs.
-    #: With unit costs, WFQ orders these by (virtual finish, seq):
-    #: the four decodes (finish tags 1,1,1,2) come out ahead of the two
-    #: coverages (tags 2,2 with later seqs) and coalesce into one batch.
+    #: With unit costs, WFQ orders these by (virtual finish, seq): tenant
+    #: 0's reachability (tag 2) and second decode (tag 3) fall behind the
+    #: tag-1 decodes of tenants 1 and 2, so fair order is 0,1,3,2,5,6,4.
     SCRIPT = [
         (0, "decode", {"seed": 1, "instructions": 300}),
         (1, "decode", {"seed": 2, "instructions": 300}),
+        (0, "reachability", {"spec": "fifo", "max_states": 2_000}),
         (2, "decode", {"seed": 3, "instructions": 300}),
         (0, "decode", {"seed": 1, "instructions": 300}),
         (1, "coverage", {"circuit": "buffer", "duration_ps": 1_500.0}),
         (2, "coverage", {"circuit": "buffer", "duration_ps": 1_500.0}),
     ]
+    FAIR_ORDER = [0, 1, 3, 2, 5, 6, 4]
+    WINDOW = 4
 
     async def _run_script(self):
         service = DecodeService(
-            ServiceConfig(window=4), auto_dispatch=False
+            ServiceConfig(window=self.WINDOW), auto_dispatch=False
         )
         host, port = await service.start()
         try:
@@ -428,29 +450,47 @@ class TestDeterministicInterleaving:
                     for r in results
                 ]
                 payloads = [r.payload for r in results]
-                stats = service.batcher.stats()
-                return decisions, payloads, stats
+                return decisions, payloads, service.stats()
             finally:
                 for client in clients:
                     await client.close()
         finally:
             await service.shutdown()
 
-    def test_same_arrivals_same_decisions_and_payloads(self):
-        first = asyncio.run(self._run_script())
-        second = asyncio.run(self._run_script())
+    def _run_recorded(self, monkeypatch):
+        ran = []
+        for handler in (decode_handler, reachability_handler, coverage_handler):
+            monkeypatch.setitem(
+                handler_registry.HANDLERS, handler.NAME, _Recorder(handler, ran)
+            )
+        return (*asyncio.run(self._run_script()), ran)
+
+    def test_same_arrivals_same_decisions_and_payloads(self, monkeypatch):
+        first = self._run_recorded(monkeypatch)
+        second = self._run_recorded(monkeypatch)
         assert first == second
-        decisions, payloads, stats = first
-        # Coalescing happened: six requests in fewer engine batches.
+        decisions, payloads, stats, ran = first
+        # Handlers ran in the scheduler's fair order over the admissions.
+        fair = sorted(
+            range(len(decisions)), key=lambda i: (decisions[i][1], decisions[i][0])
+        )
+        assert fair == self.FAIR_ORDER
+        assert ran == [self.SCRIPT[i][1:] for i in fair]
+        # Batches are cut at ``window`` only: two batches (4 + 3), each
+        # taking the next requests in fair order.
         assert stats["requests_batched"] == len(self.SCRIPT)
-        assert stats["batches_built"] < len(self.SCRIPT)
-        # Decode requests coalesce across tenants (same config/key).
-        decode_batches = {
-            decisions[i][2]
-            for i, (_t, cap, _p) in enumerate(self.SCRIPT)
-            if cap == "decode"
-        }
-        assert len(decode_batches) == 1
+        assert stats["batches_built"] == 2
+        for rank, i in enumerate(fair):
+            batch, position = divmod(rank, self.WINDOW)
+            size = min(self.WINDOW, len(fair) - batch * self.WINDOW)
+            assert decisions[i][2:] == (batch, position, size)
+        # Each batch spans capabilities: no coalescing key splits it.
+        for batch in range(2):
+            members = {
+                self.SCRIPT[i][1] for i in range(len(decisions))
+                if decisions[i][2] == batch
+            }
+            assert len(members) > 1
         # Payloads equal the direct engine calls.
         for i, (_tenant, capability, params) in enumerate(self.SCRIPT):
             if capability != "decode":
@@ -564,9 +604,11 @@ class TestDisconnectAndShutdown:
             service = DecodeService(ServiceConfig(engine_lanes=1))
             host, port = await service.start()
             client = await ServiceClient.connect(host, port)
-            inflight_id = await client.submit("gate", {"key": "one"})
-            queued_id = await client.submit("gate", {"key": "two"})
+            inflight_id = await client.submit("gate", {})
             assert await _wait_event(gate.started)
+            # The lane is busy, so this one stays queued.
+            queued_id = await client.submit("gate", {})
+            await client.ping()
             shutdown = asyncio.ensure_future(service.shutdown(drain=True))
             await asyncio.sleep(0.05)
             gate.release.set()
@@ -637,3 +679,159 @@ class TestBackpressure:
                 await service.shutdown()
 
         assert asyncio.run(scenario())
+
+
+class TestLoad:
+    def test_every_request_resolves_at_1_10_and_100_sessions(self):
+        """Completion counts under load; timing is perfbench's job."""
+        for clients in (1, 10, 100):
+            report = asyncio.run(
+                run_load(
+                    clients=clients,
+                    requests_per_client=2,
+                    config=ServiceConfig(capacity=max(128, clients * 4)),
+                )
+            )
+            assert report.failed == 0
+            assert report.completed + report.rejected == report.requests
+            assert report.completed > 0
+
+        async def spot_check():
+            service = DecodeService(ServiceConfig())
+            host, port = await service.start()
+            try:
+                client = await ServiceClient.connect(host, port)
+                try:
+                    return await client.request(
+                        "decode", {"seed": 0, "instructions": 400}
+                    )
+                finally:
+                    await client.close()
+            finally:
+                await service.shutdown()
+
+        assert asyncio.run(spot_check()).payload == direct_decode_payload(0, 400)[0]
+
+
+#: Events that end a request; each request id must see exactly one.
+_TERMINAL = {"rejected", "result", "error", "cancelled"}
+#: Fuzz step kinds that send a request frame (and so expect a terminal).
+_REQUEST_KINDS = {"decode", "coverage", "gate", "bad-params"}
+
+
+def _fuzz_line(kind, arg, request_id, earlier):
+    """One wire line for a fuzz step; ``earlier`` are the session's ids."""
+    if kind == "non-object":
+        return ("[1]", str(arg), '"text"', "null", "{not json")[arg % 5]
+    if kind in ("stats", "ping"):
+        return json.dumps({"op": kind})
+    if kind == "cancel-known":
+        target = earlier[arg % len(earlier)] if earlier else "none-yet"
+        return json.dumps({"op": "cancel", "id": target})
+    if kind == "cancel-unknown":
+        return json.dumps({"op": "cancel", "id": f"unknown-{arg}"})
+    capability, params = {
+        "decode": ("decode", {"seed": arg, "instructions": 200}),
+        "coverage": ("coverage", {"circuit": "buffer", "duration_ps": 1_000.0}),
+        "gate": ("gate", {}),
+        "bad-params": (
+            ("decode", "coverage", "reachability")[arg % 3],
+            ([arg], "text", arg + 1, {"bogus": arg})[arg % 4],
+        ),
+    }[kind]
+    return json.dumps(
+        {"op": "request", "id": request_id, "capability": capability,
+         "params": params}
+    )
+
+
+async def _read_until(reader, terminals, request_ids, pongs):
+    """Count terminals per id into ``terminals`` until all
+    ``request_ids`` ended and ``pongs`` pongs arrived; a closed session
+    fails the JSON decode."""
+    seen_pongs = 0
+    while seen_pongs < pongs or not set(request_ids) <= set(terminals):
+        frame = json.loads(await asyncio.wait_for(reader.readline(), 30))
+        if frame.get("event") in _TERMINAL:
+            terminals[frame["id"]] += 1
+        elif frame.get("event") == "pong":
+            seen_pongs += 1
+
+
+class TestProtocolFuzz:
+    """Random frame mixes on two sessions never break the protocol."""
+
+    STEP = st.tuples(
+        st.integers(0, 1),
+        st.sampled_from(
+            [
+                "decode", "coverage", "gate", "bad-params", "cancel-known",
+                "cancel-unknown", "non-object", "stats", "ping",
+            ]
+        ),
+        st.integers(0, 9),
+    )
+
+    async def _session_mix(self, steps, late_cancels):
+        gate = _GateHandler()
+        handler_registry.register(gate)
+        service = DecodeService(ServiceConfig(capacity=6, window=3))
+        host, port = await service.start()
+        try:
+            sessions = [await asyncio.open_connection(host, port) for _ in range(2)]
+            sent = [[], []]
+            pings = [1, 1]  # the barrier ping below
+            for number, (index, kind, arg) in enumerate(steps):
+                request_id = f"r{number}"
+                line = _fuzz_line(kind, arg, request_id, sent[index])
+                if kind in _REQUEST_KINDS:
+                    sent[index].append(request_id)
+                if kind == "ping":
+                    pings[index] += 1
+                sessions[index][1].write(line.encode() + b"\n")
+            terminals = [Counter(), Counter()]
+            # Every frame is handled; a gate request still holds its lane.
+            for (reader, writer), ended, count in zip(sessions, terminals, pings):
+                writer.write(b'{"op": "ping"}\n')
+                await _read_until(reader, ended, (), count)
+            # Cancels now can reach requests already in a lane batch.
+            for index, pick in late_cancels:
+                line = _fuzz_line("cancel-known", pick, None, sent[index])
+                sessions[index][1].write(line.encode() + b"\n")
+            for (reader, writer), ended in zip(sessions, terminals):
+                writer.write(b'{"op": "ping"}\n')
+                await _read_until(reader, ended, (), 1)
+            gate.release.set()
+            for (reader, writer), ended, ids in zip(sessions, terminals, sent):
+                await _read_until(reader, ended, ids, 0)
+                # Nothing is left running: a late duplicate would land
+                # before this barrier's pong.
+                writer.write(b'{"op": "ping"}\n')
+                await _read_until(reader, ended, (), 1)
+            fresh_reader, fresh_writer = await asyncio.open_connection(host, port)
+            fresh_writer.write(b'{"op": "ping"}\n')
+            fresh = json.loads(await asyncio.wait_for(fresh_reader.readline(), 10))
+            for _reader, writer in [*sessions, (fresh_reader, fresh_writer)]:
+                writer.close()
+            return list(zip(sent, terminals)), fresh
+        finally:
+            gate.release.set()
+            await service.shutdown()
+            handler_registry.HANDLERS.pop("gate", None)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        steps=st.lists(STEP, max_size=24),
+        late_cancels=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 23)), max_size=4
+        ),
+    )
+    @example(  # cancels of a running gate and of its batch mate
+        steps=[(0, "gate", 0), (0, "decode", 1), (1, "coverage", 0)],
+        late_cancels=[(0, 0), (0, 1)],
+    )
+    def test_every_request_ends_once_and_sessions_live(self, steps, late_cancels):
+        terminals, fresh = asyncio.run(self._session_mix(steps, late_cancels))
+        for ids, ended in terminals:
+            assert ended == Counter(ids)
+        assert fresh == {"event": "pong"}

@@ -59,7 +59,7 @@ class TestNoStarvation:
         dispatched = set()
         for action, tenant, cost in script:
             if action == "offer":
-                decision = scheduler.offer(tenant, "cap", "key", cost=cost)
+                decision = scheduler.offer(tenant, cost=cost)
                 if decision.admitted:
                     admitted.add(decision.seq)
             else:
@@ -83,7 +83,7 @@ class TestNoStarvation:
         )
         for _ in range(backlog):
             for tenant in TENANTS:
-                assert scheduler.offer(tenant, "cap", "key").admitted
+                assert scheduler.offer(tenant).admitted
         served = {tenant: 0 for tenant in TENANTS}
         remaining = {tenant: backlog for tenant in TENANTS}
         for _ in range(len(TENANTS) * backlog):
@@ -110,7 +110,7 @@ class TestNoStarvation:
         scheduler = build(capacity=64, tenant_weights=tenant_weights)
         for _ in range(16):
             for tenant in TENANTS:
-                scheduler.offer(tenant, "cap", "key")
+                scheduler.offer(tenant)
         served = {tenant: 0 for tenant in TENANTS}
         for _ in range(len(TENANTS) * 8):  # leave every tenant backlogged
             entry = scheduler.next()
@@ -129,7 +129,7 @@ class TestWorkConservation:
         queued = 0
         for action, tenant, cost in script:
             if action == "offer":
-                if scheduler.offer(tenant, "cap", "key", cost=cost).admitted:
+                if scheduler.offer(tenant, cost=cost).admitted:
                     queued += 1
             else:
                 entry = scheduler.next()
@@ -149,7 +149,7 @@ class TestBackpressureMonotonicity:
         seen = {}  # occupancy -> level index
         for action, tenant, cost in script:
             if action == "offer":
-                scheduler.offer(tenant, "cap", "key", cost=cost)
+                scheduler.offer(tenant, cost=cost)
             else:
                 scheduler.next()
             seen[len(scheduler)] = LEVELS.index(
@@ -166,7 +166,7 @@ class TestBackpressureMonotonicity:
         for action, tenant, cost in script:
             before = scheduler.pressure()
             if action == "offer":
-                decision = scheduler.offer(tenant, "cap", "key", cost=cost)
+                decision = scheduler.offer(tenant, cost=cost)
                 if decision.admitted:
                     assert scheduler.pressure() > before
                 else:
@@ -182,14 +182,14 @@ class TestBackpressureMonotonicity:
     def test_levels_at_the_exact_thresholds(self):
         scheduler = build(capacity=4)
         assert scheduler.backpressure_level() == ACCEPT
-        scheduler.offer("a", "cap", "key")
+        scheduler.offer("a")
         assert scheduler.backpressure_level() == ACCEPT
-        scheduler.offer("a", "cap", "key")  # 2/4 = throttle_ratio 0.5
+        scheduler.offer("a")  # 2/4 = throttle_ratio 0.5
         assert scheduler.backpressure_level() == THROTTLE
-        scheduler.offer("a", "cap", "key")
-        scheduler.offer("a", "cap", "key")
+        scheduler.offer("a")
+        scheduler.offer("a")
         assert scheduler.backpressure_level() == REJECT
-        assert not scheduler.offer("a", "cap", "key").admitted
+        assert not scheduler.offer("a").admitted
 
 
 class TestDeterminism:
@@ -201,7 +201,7 @@ class TestDeterminism:
             order = []
             for action, tenant, cost in script:
                 if action == "offer":
-                    scheduler.offer(tenant, "cap", "key", cost=cost)
+                    scheduler.offer(tenant, cost=cost)
                 else:
                     entry = scheduler.next()
                     if entry is not None:
