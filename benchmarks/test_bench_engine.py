@@ -586,14 +586,13 @@ def test_bench_engine_faultsim_sharded_wallclock(fifo_rt, bench_dir):
     """Sharded fault campaigns: bit-identity always, wall-clock gated.
 
     Splits a chained-FIFO campaign over the persistent pool (forced, so
-    the shared-memory campaign payload path runs even where auto mode
-    would delegate) and compares against the in-process sweep.  The
-    wall-clock assertion -- the pooled campaign must beat the in-process
-    one -- applies only in full mode on multi-CPU hosts: worker
-    processes cannot beat a single loop on one core, which is exactly
-    why the ROADMAP called the multi-CPU win unmeasured.  The timings,
-    shard count, and payload transport are appended to
-    ``BENCH_faultsim.json`` under ``"sharded"``.
+    the pooled path runs even where auto mode would stay in-process) and
+    compares against the in-process sweep.  The wall-clock assertion --
+    the pooled campaign must beat the in-process one -- applies only in
+    full mode on multi-CPU hosts: worker processes cannot beat a single
+    loop on one core, which is exactly why the ROADMAP called the
+    multi-CPU win unmeasured.  The timings and shard count are appended
+    to ``BENCH_faultsim.json`` under ``"sharded"``.
     """
     from repro.circuit.analysis import chain_environment_rules as chain_rules
     from repro.circuit.netlist import chain_handshake_cells
@@ -640,7 +639,7 @@ def test_bench_engine_faultsim_sharded_wallclock(fifo_rt, bench_dir):
         f"\n[bench-engine] sharded faultsim ({stages}-stage chain, "
         f"{shards} shards): in-process {local_time * 1e3:.0f} ms, pooled "
         f"{pooled_time * 1e3:.0f} ms -> {speedup:.2f}x "
-        f"[{decision.get('payload', decision.get('reason'))}]"
+        f"[{decision.get('reason')}]"
     )
 
     out_path = bench_dir / "BENCH_faultsim.json"
@@ -652,7 +651,6 @@ def test_bench_engine_faultsim_sharded_wallclock(fifo_rt, bench_dir):
         "stages": stages,
         "shards": shards,
         "cpu_count": cpus,
-        "payload": decision.get("payload"),
         "in_process_s": round(local_time, 3),
         "pooled_s": round(pooled_time, 3),
         "speedup": round(speedup, 3),
@@ -883,7 +881,12 @@ def test_bench_engine_faultsim_resilience(fifo_rt, bench_dir):
     from repro.circuit.analysis import fifo_environment_rules
     from repro.engine import chaos, resilience
     from repro.engine import pool as engine_pool
-    from repro.engine.faultsim import FaultSimEngine, _run_fault_shard
+    from repro.engine.faultsim import (
+        _CHUNKS_PER_WORKER,
+        FaultSimEngine,
+        _chunk_bounds,
+        _run_fault_shard,
+    )
     from repro.testability.simulation import campaign_signature, simulate_faults
 
     rules = fifo_environment_rules()
@@ -900,19 +903,20 @@ def test_bench_engine_faultsim_resilience(fifo_rt, bench_dir):
             for _net, slot in sorted(compiled.net_index.items())
             for value in (0, 1)
         ]
-        indexed = [
-            (index, slot, value)
-            for index, (slot, value) in enumerate(slot_faults)
+        # The engine's own chunking (FaultSimEngine._sweep_verdicts).
+        chunks = [
+            [(index, *slot_faults[index]) for index in range(start, end)]
+            for start, end in _chunk_bounds(
+                slot_faults, shard_count * _CHUNKS_PER_WORKER
+            )
         ]
-        chunks = [indexed[start::shard_count] for start in range(shard_count)]
-        chunks = [chunk for chunk in chunks if chunk]
-        ref = engine._payload()
-        items = [(ref, chunk) for chunk in chunks]
+        campaign = engine._campaign()
+        items = [(campaign, chunk) for chunk in chunks]
         executor = engine_pool.get_pool()
 
         def run_raw():
             futures = [
-                executor.submit(_run_fault_shard, ref, chunk)
+                executor.submit(_run_fault_shard, campaign, chunk)
                 for chunk in chunks
             ]
             return [future.result(timeout=600) for future in futures]

@@ -131,10 +131,11 @@ print(
 EOF
 fi
 
-# The committed baselines (BENCH_sim.json, BENCH_faultsim.json at the
-# repo root) move only here, from the full run just checked above.
+# The committed baselines (BENCH_sim.json, BENCH_faultsim.json and
+# BENCH_reach.json at the repo root) move only here, from the full run
+# just checked above.
 if [[ "$UPDATE_BASELINES" == 1 ]]; then
-    for bench_name in BENCH_sim.json BENCH_faultsim.json; do
+    for bench_name in BENCH_sim.json BENCH_faultsim.json BENCH_reach.json; do
         cp "$BENCH_DIR/$bench_name" "$bench_name"
         echo "== baseline updated: $bench_name =="
     done

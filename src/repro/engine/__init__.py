@@ -65,10 +65,9 @@ When delegation kicks in
   can read its faulted net and finishes in the same scalar drain the
   simulator uses (detected copies drop out of observable bookkeeping
   the moment they diverge).  Large campaigns ship small chunks to the
-  persistent pool, with the compiled tables published once per campaign
-  through the shared-memory payload path
-  (:func:`~repro.engine.pool.publish_payload`).  The per-fault
-  netlist-rebuilding loop is retained as
+  persistent pool, each carrying the campaign pickled once into a
+  token-tagged blob that every worker decodes once per token.  The
+  per-fault netlist-rebuilding loop is retained as
   ``repro.testability.simulation._reference_simulate_faults``.
 * ``RappidDecoder.run`` delegates to
   :func:`~repro.engine.rappid_batch.run_batched`, which performs the same
@@ -91,8 +90,8 @@ retried results are bit-identical).  Worker-raised application errors
 propagate.  Recovery decisions land in the PoolHealth record
 (:data:`~repro.engine.resilience.LAST_HEALTH`), and the deterministic
 chaos harness (:class:`~repro.engine.chaos.ChaosPlan`) injects seeded
-worker kills/hangs/payload failures through exactly these paths so the
-chaos suite can pin recovered campaigns against undisturbed ones.  See
+worker kills/hangs/campaign-decode failures through exactly these paths
+so the chaos suite can pin recovered campaigns against undisturbed ones.  See
 ``docs/resilience.md``.
 
 Invariants relied on by the differential suite

@@ -4,12 +4,12 @@ The paper's claim is robustness through asynchrony: RAPPID decodes
 correctly under arbitrary delay variation.  The engine's parallel
 execution layer makes the analogous claim -- a campaign sharded over the
 persistent pool must produce bit-identical results no matter which
-workers die, stall, or lose their shared-memory segments along the way.
+workers die, stall, or fail to decode the campaign along the way.
 This module makes that claim *testable*: seeded injection points that
-:func:`repro.engine.resilience.supervised_map` and the payload machinery
-in :mod:`repro.engine.pool` consult, so ``tests/test_chaos.py`` can run
-real campaigns under injected failures and pin the results against the
-undisturbed run.
+:func:`repro.engine.resilience.supervised_map` and the worker-side
+campaign decode (:func:`repro.engine.faultsim._run_fault_shard`)
+consult, so ``tests/test_chaos.py`` can run real campaigns under
+injected failures and pin the results against the undisturbed run.
 
 Injection points
 ----------------
@@ -23,13 +23,9 @@ Injection points
 ``slow-worker``
     The worker sleeps ``slow_s`` seconds first -- a straggler, not a
     failure; the healthy path must absorb it without a retry.
-``shm-publish-fail``
-    :func:`repro.engine.pool.publish_payload` raises *after* the
-    shared-memory segment is created (modelling a failed buffer copy or
-    registry insert) -- exercising both the segment-leak guard and the
-    inline-transport degradation.
 ``payload-fetch-fail``
-    :func:`repro.engine.pool.fetch_payload` raises ``OSError`` -- an
+    A worker's campaign decode raises ``OSError`` on a sweep-cache miss
+    (:func:`repro.engine.faultsim._run_fault_shard`) -- an
     infrastructure failure the dispatcher must retry.
 ``pickle-fail``
     Task submission raises ``pickle.PicklingError`` parent-side before
@@ -46,15 +42,16 @@ Determinism
 -----------
 A :class:`ChaosPlan` is a pure decision function over
 ``(point, key, attempt)``: task-scoped points key on the dispatcher's
-task index, payload points on a per-point occurrence counter, and every
-decision either selects the first ``N`` keys (integer spec) or draws a
-seeded Bernoulli from ``random.Random(f"{seed}|{point}|{key}")`` (float
-spec -- a string seed, so decisions do not depend on
-``PYTHONHASHSEED``).  Injections fire only on the attempts listed in
-``attempts`` (default: first attempt only), so a retried task always
-succeeds and the recovered campaign can be compared bit-for-bit against
-the undisturbed one.  The work units themselves are deterministic, which
-is what makes that comparison meaningful.
+task index, checks outside a task on a per-point occurrence counter, and
+every decision either selects the first ``N`` keys (integer spec) or
+draws a seeded Bernoulli from
+``random.Random(f"{seed}|{point}|{key}")`` (float spec -- a string
+seed, so decisions do not depend on ``PYTHONHASHSEED``).  Injections
+fire only on the attempts listed in ``attempts`` (default: first
+attempt only), so a retried task always succeeds and the recovered
+campaign can be compared bit-for-bit against the undisturbed one.  The
+work units themselves are deterministic, which is what makes that
+comparison meaningful.
 
 Threading the plan through dispatch
 -----------------------------------
@@ -66,8 +63,9 @@ The parent activates a plan with :func:`active`::
 ``supervised_map`` picks the plan up via :func:`current` and wraps every
 worker call in :func:`chaos_call`, which carries the (picklable) plan to
 the worker, applies the worker-side faults, and exposes the task context
-to :func:`check` so payload-layer injection points fire inside the right
-task.  With no plan active every hook is a single ``is None`` test.
+to :func:`check` so the campaign-decode injection point fires inside
+the right task.  With no plan active every hook is a single ``is None``
+test.
 """
 
 from __future__ import annotations
@@ -83,7 +81,6 @@ POINTS = (
     "worker-kill",
     "worker-hang",
     "slow-worker",
-    "shm-publish-fail",
     "payload-fetch-fail",
     "pickle-fail",
     "slow-client",
@@ -101,8 +98,8 @@ class ChaosPlan:
     """Seeded, deterministic fault-injection plan.
 
     Each keyword selects how often its injection point fires: an ``int``
-    ``N`` injects on the first ``N`` keys (task indices for worker
-    points, per-point occurrence indices for payload points), a
+    ``N`` injects on the first ``N`` keys (task indices inside a
+    dispatched task, per-point occurrence indices outside one), a
     ``float`` rate injects on a seeded Bernoulli per key.  ``attempts``
     lists the dispatch attempts on which injections are armed; the
     default ``(0,)`` disturbs only first attempts so retries recover.
@@ -115,7 +112,6 @@ class ChaosPlan:
         worker_kill: Union[int, float] = 0,
         worker_hang: Union[int, float] = 0,
         slow_worker: Union[int, float] = 0,
-        shm_publish_fail: Union[int, float] = 0,
         payload_fetch_fail: Union[int, float] = 0,
         pickle_fail: Union[int, float] = 0,
         slow_client: Union[int, float] = 0,
@@ -133,13 +129,13 @@ class ChaosPlan:
             "worker-kill": worker_kill,
             "worker-hang": worker_hang,
             "slow-worker": slow_worker,
-            "shm-publish-fail": shm_publish_fail,
             "payload-fetch-fail": payload_fetch_fail,
             "pickle-fail": pickle_fail,
             "slow-client": slow_client,
         }
-        # Parent-side observations (payload points and mirrored worker
-        # decisions); purely diagnostic, never consulted by decide().
+        # Parent-side observations (checks outside a task and mirrored
+        # worker decisions); purely diagnostic, never consulted by
+        # decide().
         self.log: List[Tuple[str, Tuple[int, int]]] = []
         self._occurrences: Dict[str, int] = {}
 
@@ -193,11 +189,10 @@ def active(plan: ChaosPlan) -> Iterator[ChaosPlan]:
 def check(point: str) -> None:
     """Raise the injected fault for ``point``, if the active plan says so.
 
-    Called from the payload machinery (:mod:`repro.engine.pool`).  Inside
-    a :func:`chaos_call` task the decision keys on that task's
-    ``(key, attempt)``; outside one (the publishing parent) it keys on a
-    per-point occurrence counter.  No active plan means no work beyond
-    one ``is None`` test.
+    Called from the worker-side campaign decode.  Inside a
+    :func:`chaos_call` task the decision keys on that task's
+    ``(key, attempt)``; outside one it keys on a per-point occurrence
+    counter.  No active plan means no work beyond one ``is None`` test.
     """
     plan = _ACTIVE
     if plan is None:
@@ -235,8 +230,8 @@ def client_delay() -> float:
 def chaos_call(plan, key, attempt, fn, *args):
     """Worker-side task wrapper: apply worker faults, then run ``fn``.
 
-    Installs ``plan`` as the worker's active plan (so payload-layer
-    :func:`check` hooks fire inside this task's context), applies any
+    Installs ``plan`` as the worker's active plan (so the campaign-decode
+    :func:`check` hook fires inside this task's context), applies any
     armed worker fault, and finally runs the real work item.  A killed
     worker never reaches ``fn``; a hung/slow worker reaches it late --
     either way a retried attempt reruns ``fn`` from scratch, which is

@@ -49,11 +49,11 @@ reference loop rebuilt and recompiled a netlist for every fault; here:
   small contiguous chunks, about ``_CHUNKS_PER_WORKER`` per worker, that
   idle workers pull in turn; a chunk costs its copies plus the golden
   prefix up to its last fork, and never separates the faults of one net
-  (they share a fork time).  The campaign is published **once** through
-  the shared-memory payload path (:func:`repro.engine.pool.publish_payload`)
-  and workers cache the reconstructed sweep per payload token.  Netlists
-  with ``OP_CALL`` gates cannot cross a process boundary and stay
-  in-process, recorded in ``pool.LAST_DECISION``.
+  (they share a fork time).  The campaign is pickled **once** into a
+  ``(token, blob)`` pair that rides inline in every chunk item, and each
+  worker decodes it once and caches the reconstructed sweep per token.
+  Netlists with ``OP_CALL`` gates cannot cross a process boundary and
+  stay in-process, recorded in ``pool.LAST_DECISION``.
 
 Verdicts -- the detected/undetected split, reason strings, per-copy RNG
 draw order, and therefore every coverage percentage -- are bit-identical
@@ -68,13 +68,13 @@ from __future__ import annotations
 import math
 import pickle
 import random
-import weakref
+import uuid
 from collections import namedtuple
 from itertools import chain, groupby
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import analysis as _analysis
-from repro.engine import pool
+from repro.engine import chaos, pool
 from repro.engine import resilience as _resilience
 from repro.engine.events import BatchEventQueue, CompiledNetlist
 from repro.engine.simkernel import (
@@ -88,7 +88,7 @@ from repro.engine.simkernel import (
     settle,
 )
 
-# Below this many faults per shard the payload/IPC overhead outweighs
+# Below this many faults per shard the campaign/IPC overhead outweighs
 # parallel sweeping even on warm workers (a fault copy is milliseconds).
 FAULTSIM_MIN_FAULTS_PER_SHARD = 8
 
@@ -103,7 +103,7 @@ REASON_ABNORMAL = "abnormal behaviour"
 
 _INF = float("inf")
 
-# Worker-side cache: campaign payload token -> reconstructed _FaultSweep,
+# Worker-side cache: campaign token -> reconstructed _FaultSweep,
 # so a persistent worker serving many shard calls of one campaign builds
 # the sweep (unpickle + golden adoption) exactly once.
 _SWEEP_CACHE_MAX = 4
@@ -594,28 +594,27 @@ def build_sweep(netlist, compiled: CompiledNetlist, params, golden=None):
     )
 
 
-def _run_fault_shard(ref, items, sweep=None):
-    """Worker entry point: verdicts for one chunk of a published campaign.
+def _run_fault_shard(campaign, items, sweep=None):
+    """Worker entry point: verdicts for one chunk of a pickled campaign.
 
-    ``items`` is a list of ``(campaign index, net slot, value)``; the
-    campaign itself (tables, environment, golden record) comes from the
-    payload handle, reconstructed once per token and cached, unless the
-    caller hands in its own ``sweep`` (in-process salvage).
+    ``items`` is a list of ``(campaign index, net slot, value)``;
+    ``campaign`` is the engine's ``(token, blob)`` pair, whose blob
+    (tables, environment, golden record) is decoded once per token and
+    cached, unless the caller hands in its own ``sweep`` (in-process
+    salvage).  The ``payload-fetch-fail`` chaos point fires on a cache
+    miss, just before the decode.
     """
     if sweep is None:
-        sweep = _SWEEP_CACHE.get(ref.token)
-    if sweep is None:
-        campaign = pickle.loads(pool.fetch_payload(ref))
-        # The decoded sweep below supersedes the raw bytes; drop them
-        # rather than double-retaining (a re-fetch after a rare sweep
-        # eviction re-attaches the still-published segment, and inline
-        # handles carry their bytes in the ref anyway).
-        pool.forget_cached_payload(ref)
-        tables = campaign.pop("tables")
-        sweep = _FaultSweep(CompiledNetlist.from_tables(tables), **campaign)
-        while len(_SWEEP_CACHE) >= _SWEEP_CACHE_MAX:
-            _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
-        _SWEEP_CACHE[ref.token] = sweep
+        token, blob = campaign
+        sweep = _SWEEP_CACHE.get(token)
+        if sweep is None:
+            chaos.check("payload-fetch-fail")
+            fields = pickle.loads(blob)
+            tables = fields.pop("tables")
+            sweep = _FaultSweep(CompiledNetlist.from_tables(tables), **fields)
+            while len(_SWEEP_CACHE) >= _SWEEP_CACHE_MAX:
+                _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
+            _SWEEP_CACHE[token] = sweep
     return sweep.sweep([(slot, value) for _index, slot, value in items])
 
 
@@ -648,11 +647,8 @@ class FaultSimEngine:
     netlist, runs the golden trace, and captures its observable
     signature.  Each :meth:`run` call then sweeps a batch of stuck-at
     faults -- in process, or sharded over the persistent worker pool
-    with the campaign published once through the shared-memory payload
-    path.  The published payload is released by :meth:`close` (or the
-    context manager); as a backstop a ``weakref.finalize`` hook releases
-    it when an unclosed engine is garbage-collected or the interpreter
-    exits, so no ``/dev/shm`` segment outlives the process.
+    with the campaign pickled once and shipped inline in every chunk.
+    :meth:`close` (or the context manager) drops that memoised blob.
 
     ``delay_jitter`` randomises every gate delay uniformly in
     ``[nominal * (1 - j), nominal * (1 + j)]`` and
@@ -716,8 +712,7 @@ class FaultSimEngine:
         self._campaign_params = params
         self._collapse_plan = None
         self.last_collapse: Optional[Dict[str, int]] = None
-        self._payload_ref: Optional[pool.PayloadRef] = None
-        self._finalizer: Optional[weakref.finalize] = None
+        self._pickled: Optional[Tuple[str, bytes]] = None
 
     @property
     def compiled(self) -> CompiledNetlist:
@@ -728,9 +723,9 @@ class FaultSimEngine:
         return self._sweep.golden_finals, self._sweep.golden_counts
 
     # -- sharding ---------------------------------------------------------------------
-    def _payload(self) -> pool.PayloadRef:
-        """Publish the campaign once; later shard calls reuse the handle."""
-        if self._payload_ref is None:
+    def _campaign(self) -> Tuple[str, bytes]:
+        """Pickle the campaign once into a reusable ``(token, blob)`` pair."""
+        if self._pickled is None:
             sweep = self._sweep
             # _FaultSweep's constructor arguments, compiled tables flat.
             blob = pickle.dumps(
@@ -748,22 +743,12 @@ class FaultSimEngine:
                 },
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-            ref = pool.publish_payload(blob)
-            self._payload_ref = ref
-            # Release on garbage collection *or* interpreter exit: a
-            # finalize hook runs before module globals are torn down,
-            # unlike ``__del__`` during shutdown, so an engine that was
-            # never closed still cannot leak its /dev/shm segment.
-            self._finalizer = weakref.finalize(self, pool.release_payload, ref)
-        return self._payload_ref
+            self._pickled = (uuid.uuid4().hex, blob)
+        return self._pickled
 
     def close(self) -> None:
-        """Release the published campaign payload (idempotent)."""
-        finalizer = self._finalizer
-        self._finalizer = None
-        self._payload_ref = None
-        if finalizer is not None:
-            finalizer()
+        """Drop the memoised campaign blob (idempotent)."""
+        self._pickled = None
 
     def __enter__(self) -> "FaultSimEngine":
         return self
@@ -915,8 +900,8 @@ class FaultSimEngine:
                     use_pool=False, reason="pool-spawn-failed"
                 )
             else:
-                ref = self._payload()
-                items = [(ref, chunk) for chunk in chunks]
+                campaign = self._campaign()
+                items = [(campaign, chunk) for chunk in chunks]
                 try:
                     chunk_results = _resilience.supervised_map(
                         executor, _run_fault_shard, items, label="fault-campaign"
@@ -928,11 +913,10 @@ class FaultSimEngine:
                     chunk_results = error.results
                     for chunk_index in error.pending:
                         chunk_results[chunk_index] = _run_fault_shard(
-                            ref, chunks[chunk_index], self._sweep
+                            campaign, chunks[chunk_index], self._sweep
                         )
                     _resilience.mark_degraded("in-process-salvage")
                     pool.LAST_DECISION.update(reason="pool-dispatch-degraded")
-                pool.LAST_DECISION.update(payload=ref.kind)
                 # Chunks are contiguous and in order.
                 return [verdict for result in chunk_results for verdict in result]
         return self._sweep.sweep(slot_faults)

@@ -24,18 +24,6 @@ keeps **one** lazily created, process-global pool alive across calls:
   evaluate in-process.  Every decision lands in :data:`LAST_DECISION`
   so the benchmark harness can persist it next to the timings (making
   trajectories comparable across hosts).
-* **Shared-memory payloads**: callers that ship one large immutable
-  blob (compiled netlist tables) to *several* worker
-  calls publish it once with :func:`publish_payload` and pass the tiny
-  :class:`PayloadRef` handle instead.  Large payloads ride in a
-  ``multiprocessing.shared_memory`` segment that every worker attaches
-  (and caches) once; payloads below :data:`SHM_MIN_PAYLOAD_BYTES` --
-  or any payload when shared memory is unavailable -- fall back to
-  plain pickled bytes inside the handle.  :func:`fetch_payload` is the
-  worker-side accessor with a small per-process cache keyed by the
-  handle's token, so repeated calls against one payload neither
-  re-attach nor re-copy.  :func:`release_payload` unlinks the segment
-  when the campaign is done.
 """
 
 from __future__ import annotations
@@ -43,13 +31,10 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-import uuid
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.engine import chaos
 from repro.engine.records import ScopedRecord
 
 # Decision record of the most recent pool decision:
@@ -196,187 +181,3 @@ def decide(
     )
     return use_pool, reason
 
-
-# ---------------------------------------------------------------------------
-# Shared-memory payloads
-# ---------------------------------------------------------------------------
-
-# Below this size the one-off cost of creating/attaching a shared-memory
-# segment exceeds just pickling the bytes into every worker call.
-SHM_MIN_PAYLOAD_BYTES = 256 * 1024
-
-# Worker-side payload cache: token -> bytes.  Bounded so a long-lived
-# worker serving many campaigns does not accumulate stale payloads.
-PAYLOAD_CACHE_MAX = 8
-
-# Parent-side registry of live segments: token -> (SharedMemory, owner
-# PID).  Keeping the object alive keeps our mapping open until
-# release_payload unlinks; the owner PID pins the unlink to the process
-# that created the segment -- a forked child inherits this dict, and a
-# child-side release must not destroy a segment the parent still serves.
-_PUBLISHED: Dict[str, Tuple[object, int]] = {}
-_PAYLOAD_CACHE: Dict[str, bytes] = {}
-
-# Tokens whose segment this process has released (or inherited as
-# released across a fork).  fetch_payload fails fast on them instead of
-# surfacing a confusing FileNotFoundError from the unlinked segment, and
-# release_payload reports repeats as duplicates.  Bounded FIFO: tokens
-# are uuid4 and never recur, old entries are only diagnostic.
-_RELEASED_MAX = 64
-_RELEASED: Dict[str, None] = {}
-
-
-@dataclass(frozen=True)
-class PayloadRef:
-    """Picklable handle to a published payload.
-
-    ``kind`` is ``"shm"`` (the bytes live in the named shared-memory
-    segment; ``data`` is ``None``) or ``"inline"`` (the bytes ride along
-    in ``data``; ``name`` is ``None``).  ``size`` is the payload length
-    -- shared-memory segments round up to page granularity, so readers
-    must slice.
-    """
-
-    token: str
-    kind: str
-    size: int
-    name: Optional[str] = None
-    data: Optional[bytes] = None
-
-
-def publish_payload(data: bytes, min_shm_bytes: Optional[int] = None) -> PayloadRef:
-    """Publish ``data`` once for consumption by many worker calls.
-
-    Payloads of at least ``min_shm_bytes`` (default
-    :data:`SHM_MIN_PAYLOAD_BYTES`) go into a shared-memory segment so
-    each worker maps the bytes instead of receiving a pickled copy per
-    call; smaller ones -- or any payload when shared memory cannot be
-    created (no ``/dev/shm``, permissions) -- are carried inline in the
-    returned handle.  The caller must :func:`release_payload` shm-backed
-    handles when done (idempotent, and also safe for inline handles).
-    """
-    threshold = SHM_MIN_PAYLOAD_BYTES if min_shm_bytes is None else min_shm_bytes
-    token = uuid.uuid4().hex
-    if len(data) >= threshold:
-        segment = None
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(create=True, size=max(len(data), 1))
-            chaos.check("shm-publish-fail")
-            segment.buf[: len(data)] = data
-            _PUBLISHED[token] = (segment, os.getpid())
-            return PayloadRef(
-                token=token, kind="shm", size=len(data), name=segment.name
-            )
-        except (ImportError, OSError, PermissionError, ValueError):
-            # Fall through to the inline handle -- but if the segment
-            # was already created (the buffer copy or registry insert
-            # failed, not the creation), it must be closed and unlinked
-            # here or it leaks in /dev/shm with no handle left to
-            # release it.
-            if segment is not None:
-                try:
-                    segment.close()
-                    segment.unlink()
-                except (OSError, FileNotFoundError):  # pragma: no cover
-                    pass
-    return PayloadRef(token=token, kind="inline", size=len(data), data=data)
-
-
-def release_payload(ref: PayloadRef) -> None:
-    """Unlink the payload's segment (no-op for inline handles).
-
-    Worker *processes* that already cached the bytes keep serving their
-    own copies; in the releasing process the token is retired -- its
-    cache entry is purged and a later :func:`fetch_payload` of the same
-    handle raises instead of reading an unlinked segment.  Only the
-    process that published the segment unlinks it: a forked child that
-    inherited the registry merely closes its mapping (the parent's
-    release remains the single unlink, matching the resource-tracker
-    accounting described in :func:`fetch_payload`).  The outcome is
-    recorded as ``payload_release`` in :data:`LAST_DECISION`
-    (``released`` / ``duplicate`` / ``unknown-token`` /
-    ``foreign-owner`` / ``inline``) so campaigns can assert their
-    cleanup discipline.
-    """
-    _PAYLOAD_CACHE.pop(ref.token, None)
-    if ref.kind != "shm":
-        outcome = "inline"
-    else:
-        entry = _PUBLISHED.pop(ref.token, None)
-        if entry is None:
-            outcome = "duplicate" if ref.token in _RELEASED else "unknown-token"
-        else:
-            segment, owner_pid = entry
-            if owner_pid != os.getpid():
-                # Inherited across fork: the parent owns the unlink.
-                try:
-                    segment.close()
-                except (OSError, ValueError):  # pragma: no cover - defensive
-                    pass
-                outcome = "foreign-owner"
-            else:
-                try:
-                    segment.close()
-                    segment.unlink()
-                except (OSError, FileNotFoundError):  # pragma: no cover
-                    pass
-                outcome = "released"
-        if outcome != "foreign-owner":
-            _RELEASED[ref.token] = None
-            while len(_RELEASED) > _RELEASED_MAX:
-                _RELEASED.pop(next(iter(_RELEASED)))
-    LAST_DECISION["payload_release"] = outcome
-
-
-def forget_cached_payload(ref: PayloadRef) -> None:
-    """Drop this process's cached bytes for ``ref`` (worker-side).
-
-    Callers that decode the bytes into a longer-lived form call this
-    right after decoding, so the worker cache does not pin the raw blob
-    next to its decoded copy.
-    """
-    _PAYLOAD_CACHE.pop(ref.token, None)
-
-
-def fetch_payload(ref: PayloadRef) -> bytes:
-    """Payload bytes for ``ref``, from the per-process cache when warm.
-
-    Worker-side accessor: the first fetch of a shared-memory handle
-    attaches the segment, copies the bytes out, detaches, and caches
-    them under the handle's token, so a persistent worker touches the
-    segment once per campaign no matter how many shard calls it serves.
-    """
-    chaos.check("payload-fetch-fail")
-    if ref.kind == "inline":
-        return ref.data or b""
-    if ref.token in _RELEASED:
-        # Fail fast on stale handles: the segment is unlinked (or will
-        # be by the owner), so serving a fetch here would either read
-        # freed memory semantics or raise a bare FileNotFoundError far
-        # from the caller that kept the dead handle.
-        raise RuntimeError(
-            f"payload token {ref.token!r} was released; "
-            "re-publish before fetching"
-        )
-    cached = _PAYLOAD_CACHE.get(ref.token)
-    if cached is not None:
-        return cached
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=ref.name)
-    try:
-        data = bytes(segment.buf[: ref.size])
-    finally:
-        # Close only: pool workers are forked, so they share the parent's
-        # resource tracker -- attaching re-registers the same name into
-        # the tracker's (set-based) cache, and the parent's unlink in
-        # release_payload is the single unregistration.  An explicit
-        # worker-side unregister would steal that entry and make the
-        # parent's unlink look like a double free.
-        segment.close()
-    while len(_PAYLOAD_CACHE) >= PAYLOAD_CACHE_MAX:
-        _PAYLOAD_CACHE.pop(next(iter(_PAYLOAD_CACHE)))
-    _PAYLOAD_CACHE[ref.token] = data
-    return data

@@ -225,7 +225,6 @@ class DecodeService:
         self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         if self._dispatcher is not None:
             self._work.set()
             await self._dispatcher
@@ -257,6 +256,10 @@ class DecodeService:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+        # Only now: from Python 3.12.1 wait_closed() also waits for every
+        # open connection, which the session closes above end.
+        if self._server is not None:
+            await self._server.wait_closed()
 
     async def serve_forever(self) -> None:
         if self._server is None:

@@ -31,7 +31,7 @@ Trace schema (all sections optional until the request reaches them)::
         "position": int,         # this request's slot in the batch
         "size": int,             # requests in the batch (<= window)
       },
-      "cancelled": {"stage": "queued" | "running" | "shutdown"},
+      "cancelled": {"stage": "queued" | "running" | "shutdown" | "disconnect"},
       "engine": {                # snapshots taken after the engine call
         "decision": {...},       # pool.LAST_DECISION.snapshot()
         "pool_health": {...},    # resilience.LAST_HEALTH.snapshot()

@@ -15,9 +15,8 @@ behaviour), which is why the SI and burst-mode FIFOs score below 100%.
 compiled tables, and every copy forks off one golden drain at the
 first event that can read its faulted net, then drains solo from there
 (over the persistent worker pool in small chunks for large campaigns,
-with the compiled tables shipped once via shared memory and released
-through a ``weakref.finalize`` hook even when the engine is never
-closed).  The pre-engine loop -- rebuild a fresh ``Netlist`` with a
+each carrying the campaign pickled once, which every worker decodes
+once).  The pre-engine loop -- rebuild a fresh ``Netlist`` with a
 synthesized ``*_SA0/1`` gate type and a fresh ``EventDrivenSimulator``
 per fault -- is retained verbatim as :func:`_reference_simulate_faults`;
 the differential suite (``tests/test_engine_differential.py``) pins the

@@ -11,8 +11,6 @@ the output against the in-process baseline, then asserts the recovery
 story told by the PoolHealth record.
 """
 
-import os
-
 import pytest
 
 from repro.circuit.analysis import fifo_environment_rules
@@ -83,12 +81,12 @@ class TestChaosPlanDeterminism:
         assert armed.decide("worker-kill", 0, 1)
 
     def test_check_uses_occurrence_counter_outside_tasks(self):
-        plan = ChaosPlan(seed=0, shm_publish_fail=1)
+        plan = ChaosPlan(seed=0, payload_fetch_fail=1)
         with chaos.active(plan):
-            with pytest.raises(OSError, match=r"chaos\[shm-publish-fail\]"):
-                chaos.check("shm-publish-fail")
-            chaos.check("shm-publish-fail")  # occurrence 1: clean
-        assert plan.injected("shm-publish-fail") == 1
+            with pytest.raises(OSError, match=r"chaos\[payload-fetch-fail\]"):
+                chaos.check("payload-fetch-fail")
+            chaos.check("payload-fetch-fail")  # occurrence 1: clean
+        assert plan.injected("payload-fetch-fail") == 1
 
     def test_no_active_plan_means_no_op(self):
         assert chaos.current() is None
@@ -143,25 +141,9 @@ class TestCampaignIdentityUnderInjection:
         assert health["retries"] == 0
         assert health["respawns"] == 0
 
-    def test_shm_publish_failure_degrades_inline_without_leak(
-        self, fresh_pool, fifo_rt, baseline, monkeypatch
-    ):
-        monkeypatch.setattr(pool, "SHM_MIN_PAYLOAD_BYTES", 0)
-        shm_dir = "/dev/shm"
-        before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else None
-        with chaos.active(ChaosPlan(seed=4, shm_publish_fail=1)) as plan:
-            results = _pooled_campaign(fifo_rt)
-        assert campaign_signature(results) == baseline
-        assert plan.injected("shm-publish-fail") >= 1
-        assert pool.LAST_DECISION["payload"] == "inline"
-        assert resilience.LAST_HEALTH["outcome"] == "ok"
-        if before is not None:
-            assert set(os.listdir(shm_dir)) == before, "leaked shm segment"
-
     def test_payload_fetch_failure_is_retried(
-        self, fresh_pool, fifo_rt, baseline, monkeypatch
+        self, fresh_pool, fifo_rt, baseline
     ):
-        monkeypatch.setattr(pool, "SHM_MIN_PAYLOAD_BYTES", 0)
         with chaos.active(ChaosPlan(seed=5, payload_fetch_fail=1)):
             results = _pooled_campaign(fifo_rt)
         assert campaign_signature(results) == baseline

@@ -93,244 +93,101 @@ class TestPoolDecision:
         assert use_pool and reason == "pool"
 
 
-class TestSharedMemoryPayloads:
-    """publish/fetch/release of campaign payloads, both transports."""
+class TestCampaignSweepCache:
+    """The worker-side sweep cache behind ``_run_fault_shard``.
 
-    def test_small_payload_rides_inline(self):
-        data = b"tiny campaign tables"
-        ref = pool.publish_payload(data)
-        try:
-            assert ref.kind == "inline"
-            assert ref.size == len(data)
-            assert pool.fetch_payload(ref) == data
-        finally:
-            pool.release_payload(ref)  # no-op for inline handles
+    A pooled campaign ships its pickled ``(token, blob)`` pair inline in
+    every chunk; each process decodes a token once and keeps at most
+    ``_SWEEP_CACHE_MAX`` decoded sweeps, evicting the oldest first.
+    """
 
-    def test_large_payload_uses_shared_memory(self):
-        data = bytes(range(256)) * 4096  # 1 MiB, above the threshold
-        ref = pool.publish_payload(data)
-        try:
-            if ref.kind != "shm":  # pragma: no cover - no /dev/shm
-                pytest.skip("shared memory unavailable on this host")
-            assert ref.data is None
-            assert ref.name
-            assert pool.fetch_payload(ref) == data
-        finally:
-            pool.release_payload(ref)
-
-    def test_threshold_is_tunable_and_release_retires_the_token(self):
-        data = b"forced into a segment despite its size"
-        ref = pool.publish_payload(data, min_shm_bytes=0)
-        if ref.kind != "shm":  # pragma: no cover - no /dev/shm
-            pytest.skip("shared memory unavailable on this host")
-        assert pool.fetch_payload(ref) == data
-        # Release retires the token in this process: the cache entry is
-        # purged and a re-fetch fails fast instead of attaching (or
-        # silently serving) an unlinked segment.  Worker *processes*
-        # keep their own caches -- see
-        # TestPayloadReleaseAudit.test_worker_caches_survive_parent_release.
-        pool.release_payload(ref)
-        assert pool.LAST_DECISION["payload_release"] == "released"
-        with pytest.raises(RuntimeError, match="released"):
-            pool.fetch_payload(ref)
-        pool.release_payload(ref)  # idempotent, reported as a duplicate
-        assert pool.LAST_DECISION["payload_release"] == "duplicate"
-
-    def test_workers_fetch_published_payload(self, fresh_pool):
-        data = bytes(range(256)) * 2048  # 512 KiB
-        ref = pool.publish_payload(data)
-        try:
-            executor = pool.get_pool()
-            results = [
-                executor.submit(pool.fetch_payload, ref).result(timeout=60)
-                for _ in range(2)
-            ]
-            assert all(result == data for result in results)
-        finally:
-            pool.release_payload(ref)
-
-    def test_publish_falls_back_inline_when_shm_unavailable(self, monkeypatch):
-        """No /dev/shm (or SharedMemory refusing): the same handle API
-        serves the bytes pickled-inline instead of failing."""
-        import multiprocessing.shared_memory as shared_memory
-
-        def unavailable(*args, **kwargs):
-            raise OSError("forced: shared memory unavailable")
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
-        data = bytes(range(256)) * 4096  # 1 MiB, would normally take shm
-        ref = pool.publish_payload(data)
-        assert ref.kind == "inline"
-        assert ref.data is not None and ref.name is None
-        assert pool.fetch_payload(ref) == data
-        pool.release_payload(ref)  # still a no-op for inline handles
-
-
-class TestPayloadReleaseAudit:
-    """Double-release and cross-fork stale-token discipline
-    (``LAST_DECISION["payload_release"]`` records every outcome)."""
-
-    def _shm_ref(self, data=b"audit payload"):
-        ref = pool.publish_payload(data, min_shm_bytes=0)
-        if ref.kind != "shm":  # pragma: no cover - no /dev/shm
-            pool.release_payload(ref)
-            pytest.skip("shared memory unavailable on this host")
-        return ref
-
-    def test_inline_release_is_recorded(self):
-        ref = pool.publish_payload(b"small")
-        assert ref.kind == "inline"
-        pool.release_payload(ref)
-        assert pool.LAST_DECISION["payload_release"] == "inline"
-
-    def test_release_of_unknown_token_is_recorded(self):
-        stray = pool.PayloadRef(
-            token="not-a-published-token", kind="shm", size=1, name="gone"
-        )
-        pool.release_payload(stray)
-        assert pool.LAST_DECISION["payload_release"] == "unknown-token"
-
-    def test_double_release_unlinks_once(self):
-        ref = self._shm_ref()
-        segment_path = f"/dev/shm/{ref.name.lstrip('/')}"
-        assert os.path.exists(segment_path)
-        pool.release_payload(ref)
-        assert pool.LAST_DECISION["payload_release"] == "released"
-        assert not os.path.exists(segment_path)
-        pool.release_payload(ref)
-        assert pool.LAST_DECISION["payload_release"] == "duplicate"
-
-    def test_foreign_owner_release_leaves_the_segment_alive(self):
-        """A forked child inherits ``_PUBLISHED``; its release must not
-        unlink the segment the parent still serves (simulated by
-        rewriting the recorded owner PID)."""
-        ref = self._shm_ref()
-        segment_path = f"/dev/shm/{ref.name.lstrip('/')}"
-        segment, owner_pid = pool._PUBLISHED[ref.token]
-        pool._PUBLISHED[ref.token] = (segment, owner_pid + 1)
-        try:
-            pool.release_payload(ref)
-            assert pool.LAST_DECISION["payload_release"] == "foreign-owner"
-            # The segment survives, and the handle is still fetchable
-            # here (the token was NOT retired by a non-owner release).
-            assert os.path.exists(segment_path)
-            assert pool.fetch_payload(ref) == b"audit payload"
-        finally:
-            from multiprocessing import shared_memory
-
-            cleanup = shared_memory.SharedMemory(name=ref.name)
-            cleanup.close()
-            cleanup.unlink()
-            pool.forget_cached_payload(ref)
-
-    def test_worker_caches_survive_parent_release(self, fresh_pool):
-        """The documented lifecycle: workers fetch-and-cache while the
-        campaign runs; the parent's release only retires the token in
-        the parent.  A worker that cached the bytes keeps serving them."""
-        data = bytes(range(256)) * 2048  # 512 KiB
-        ref = pool.publish_payload(data)
-        if ref.kind != "shm":  # pragma: no cover - no /dev/shm
-            pool.release_payload(ref)
-            pytest.skip("shared memory unavailable on this host")
-        try:
-            executor = pool.get_pool(max_workers=1)
-            assert executor.submit(pool.fetch_payload, ref).result(60) == data
-        finally:
-            pool.release_payload(ref)
-        # Same single worker, same token, segment now unlinked: the
-        # worker's per-process cache still serves the bytes.
-        assert executor.submit(pool.fetch_payload, ref).result(60) == data
-        # The parent, by contrast, refuses the stale handle.
-        with pytest.raises(RuntimeError, match="released"):
-            pool.fetch_payload(ref)
-
-
-class TestEngineShmLifecycle:
-    """A dropped (never-closed) engine must not leak its /dev/shm
-    segment -- the ``weakref.finalize`` hook releases the payload."""
-
-    def _engine(self, fifo_rt):
+    @pytest.fixture
+    def engine(self, fifo_rt, monkeypatch):
         from repro.circuit.analysis import fifo_environment_rules
-        from repro.engine.faultsim import FaultSimEngine
+        from repro.engine import faultsim
 
-        return FaultSimEngine(
+        monkeypatch.setattr(faultsim, "_SWEEP_CACHE", {})
+        with faultsim.FaultSimEngine(
             fifo_rt.netlist,
             fifo_environment_rules(),
             [("li", 1, 50.0)],
             duration_ps=5_000.0,
+        ) as engine:
+            yield engine
+
+    @staticmethod
+    def _chunk(engine, start=0, size=2):
+        slots = sorted(engine.compiled.net_index.values())[start : start + size]
+        return [(index, slot, 1) for index, slot in enumerate(slots)]
+
+    @staticmethod
+    def _spy_decodes(monkeypatch):
+        import pickle
+        import types
+
+        from repro.engine import faultsim
+
+        decoded = []
+
+        def loads(blob):
+            decoded.append(blob)
+            return pickle.loads(blob)
+
+        monkeypatch.setattr(faultsim, "pickle", types.SimpleNamespace(loads=loads))
+        return decoded
+
+    def test_two_chunks_of_one_campaign_decode_once(self, engine, monkeypatch):
+        from repro.engine import faultsim
+
+        campaign = engine._campaign()
+        assert engine._campaign() is campaign  # pickled once per engine
+        decoded = self._spy_decodes(monkeypatch)
+        first, second = self._chunk(engine, 0), self._chunk(engine, 2)
+        verdicts = faultsim._run_fault_shard(campaign, first)
+        verdicts += faultsim._run_fault_shard(campaign, second)
+        assert decoded == [campaign[1]]
+        assert list(faultsim._SWEEP_CACHE) == [campaign[0]]
+        expected = engine._sweep.sweep(
+            [(slot, value) for _index, slot, value in first + second]
         )
+        assert verdicts == expected
 
-    def test_dropped_engine_leaves_no_segment_behind(self, fifo_rt, monkeypatch):
-        import gc
+    def test_distinct_tokens_evict_oldest_first(self, engine, monkeypatch):
+        from repro.engine import faultsim
 
-        monkeypatch.setattr(pool, "SHM_MIN_PAYLOAD_BYTES", 0)
-        engine = self._engine(fifo_rt)
-        ref = engine._payload()
-        if ref.kind != "shm":  # pragma: no cover - no /dev/shm
-            engine.close()
-            pytest.skip("shared memory unavailable on this host")
-        segment_path = f"/dev/shm/{ref.name.lstrip('/')}"
-        assert os.path.exists(segment_path)
-        del engine  # dropped without close()
-        gc.collect()
-        assert not os.path.exists(segment_path)
-        assert pool.LAST_DECISION["payload_release"] == "released"
+        _token, blob = engine._campaign()
+        tokens = [f"token-{n}" for n in range(faultsim._SWEEP_CACHE_MAX + 1)]
+        decoded = self._spy_decodes(monkeypatch)
+        chunk = self._chunk(engine, size=1)
+        for token in tokens:
+            faultsim._run_fault_shard((token, blob), chunk)
+        assert len(decoded) == len(tokens)
+        assert list(faultsim._SWEEP_CACHE) == tokens[1:]
+        # A hit does not refresh its entry: eviction is FIFO, not LRU.
+        faultsim._run_fault_shard((tokens[1], blob), chunk)
+        assert len(decoded) == len(tokens)
+        # The evicted token decodes again and pushes out the oldest.
+        faultsim._run_fault_shard((tokens[0], blob), chunk)
+        assert len(decoded) == len(tokens) + 1
+        assert list(faultsim._SWEEP_CACHE) == tokens[2:] + tokens[:1]
 
-    def test_close_releases_and_finalizer_does_not_double_release(
-        self, fifo_rt, monkeypatch
-    ):
-        import gc
+    def test_fetch_fault_fires_only_on_a_cache_miss(self, engine):
+        from repro.engine import chaos, faultsim
 
-        monkeypatch.setattr(pool, "SHM_MIN_PAYLOAD_BYTES", 0)
-        engine = self._engine(fifo_rt)
-        ref = engine._payload()
-        if ref.kind != "shm":  # pragma: no cover - no /dev/shm
-            engine.close()
-            pytest.skip("shared memory unavailable on this host")
-        engine.close()
-        assert pool.LAST_DECISION["payload_release"] == "released"
-        pool.LAST_DECISION.pop("payload_release")
-        del engine
-        gc.collect()
-        # close() detached the finalizer: garbage collection must not
-        # re-release (no duplicate outcome recorded).
-        assert "payload_release" not in pool.LAST_DECISION
-
-
-class _ExplodingRegistry(dict):
-    """Registry stand-in whose insert fails after the segment exists."""
-
-    def __setitem__(self, key, value):
-        raise OSError("forced: registry insert failed")
-
-
-class TestPublishLeakGuard:
-    """publish_payload must not leak its /dev/shm segment when any step
-    *after* segment creation fails -- the error path closes and unlinks
-    before degrading to the inline transport."""
-
-    def _shm_listing(self):
-        if not os.path.isdir("/dev/shm"):  # pragma: no cover - no /dev/shm
-            pytest.skip("shared memory unavailable on this host")
-        return set(os.listdir("/dev/shm"))
-
-    def test_failure_after_segment_creation_leaves_no_segment(self, monkeypatch):
-        before = self._shm_listing()
-        monkeypatch.setattr(pool, "_PUBLISHED", _ExplodingRegistry())
-        ref = pool.publish_payload(b"x" * 1024, min_shm_bytes=0)
-        assert ref.kind == "inline"
-        assert pool.fetch_payload(ref) == b"x" * 1024
-        assert self._shm_listing() == before, "leaked shm segment"
-
-    def test_injected_publish_fault_leaves_no_segment(self):
-        from repro.engine import chaos
-
-        before = self._shm_listing()
-        with chaos.active(chaos.ChaosPlan(seed=0, shm_publish_fail=1)) as plan:
-            ref = pool.publish_payload(b"y" * 1024, min_shm_bytes=0)
-        assert ref.kind == "inline"
-        assert plan.injected("shm-publish-fail") == 1
-        assert self._shm_listing() == before, "leaked shm segment"
+        warm, blob = engine._campaign()
+        chunk = self._chunk(engine, size=1)
+        faultsim._run_fault_shard((warm, blob), chunk)
+        with chaos.active(chaos.ChaosPlan(seed=0, payload_fetch_fail=1)) as plan:
+            faultsim._run_fault_shard((warm, blob), chunk)  # hit: no check
+            # A caller-supplied sweep (in-process salvage) skips the decode.
+            faultsim._run_fault_shard(("cold", blob), chunk, engine._sweep)
+            assert plan.injected("payload-fetch-fail") == 0
+            with pytest.raises(OSError, match=r"chaos\[payload-fetch-fail\]"):
+                faultsim._run_fault_shard(("cold", blob), chunk)
+            assert "cold" not in faultsim._SWEEP_CACHE
+            faultsim._run_fault_shard(("cold", blob), chunk)  # occurrence 1
+        assert plan.injected("payload-fetch-fail") == 1
+        assert list(faultsim._SWEEP_CACHE) == [warm, "cold"]
 
 
 class TestPoolLifecycleEdges:
@@ -381,22 +238,6 @@ class TestPoolLifecycleEdges:
         replacement.submit(os.getpid).result(timeout=60)
         assert pool.worker_pids()
 
-    def test_retried_chunk_on_respawned_pool_fails_fast_on_released_token(
-        self, fresh_pool
-    ):
-        """A re-dispatched work item must not fetch through a handle the
-        campaign already released: a worker forked *after* the release
-        inherits the retired token and raises instead of attaching the
-        unlinked segment."""
-        ref = pool.publish_payload(b"z" * 1024, min_shm_bytes=0)
-        if ref.kind != "shm":  # pragma: no cover - no /dev/shm
-            pool.release_payload(ref)
-            pytest.skip("shared memory unavailable on this host")
-        pool.release_payload(ref)
-        executor = pool.get_pool(max_workers=1)  # respawned post-release
-        with pytest.raises(RuntimeError, match="released"):
-            executor.submit(pool.fetch_payload, ref).result(timeout=60)
-
 
 def _pid_alive(pid):
     try:
@@ -406,43 +247,6 @@ def _pid_alive(pid):
     except PermissionError:  # pragma: no cover - pid reused by other user
         return True
     return True
-
-
-class TestFaultCampaignPayloadRoute:
-    """The fault-sim campaign payload falls back inline without shm."""
-
-    def test_fault_campaign_inline_fallback_matches(
-        self, fresh_pool, monkeypatch, fifo_rt
-    ):
-        """Force the shm attempt (threshold 0) *and* make it fail: the
-        publish falls back inline and a forced-pool jittered campaign
-        stays bit-identical."""
-        from repro.circuit.analysis import fifo_environment_rules
-        from repro.testability.simulation import (
-            campaign_signature,
-            simulate_faults,
-        )
-        import multiprocessing.shared_memory as shared_memory
-
-        def unavailable(*args, **kwargs):
-            raise OSError("forced: shared memory unavailable")
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
-        monkeypatch.setattr(pool, "SHM_MIN_PAYLOAD_BYTES", 0)
-        kwargs = dict(
-            duration_ps=10_000.0, delay_jitter=0.1, environment_jitter=0.25
-        )
-        stimuli = [("li", 1, 50.0)]
-        pooled = simulate_faults(
-            fifo_rt.netlist, fifo_environment_rules(), stimuli,
-            shards=2, use_processes=True, **kwargs,
-        )
-        assert pool.LAST_DECISION["payload"] == "inline"
-        local = simulate_faults(
-            fifo_rt.netlist, fifo_environment_rules(), stimuli,
-            use_processes=False, **kwargs,
-        )
-        assert campaign_signature(pooled) == campaign_signature(local)
 
 
 class TestScopedRecords:

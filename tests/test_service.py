@@ -612,7 +612,7 @@ class TestDisconnectAndShutdown:
             shutdown = asyncio.ensure_future(service.shutdown(drain=True))
             await asyncio.sleep(0.05)
             gate.release.set()
-            await shutdown
+            await asyncio.wait_for(shutdown, 30)
             inflight = await client.collect(inflight_id)
             assert inflight.payload == {"ok": True, "runs": 1}
             with pytest.raises(RequestCancelled) as excinfo:
