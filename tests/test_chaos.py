@@ -177,6 +177,34 @@ class TestCampaignIdentityUnderInjection:
         assert campaign_signature(disturbed) == campaign_signature(local)
         assert resilience.LAST_HEALTH["outcome"] == "ok"
 
+    def test_exhausted_retries_salvage_in_process_bit_identical(
+        self, fresh_pool, fifo_rt, baseline, monkeypatch
+    ):
+        """With no retry left, the lost chunks are swept in this process
+        from the engine's own sweep; completed chunks are kept."""
+        monkeypatch.setattr(resilience, "DEFAULT_MAX_RETRIES", 0)
+        with chaos.active(ChaosPlan(seed=8, worker_kill=1)):
+            results = _pooled_campaign(fifo_rt)
+        assert campaign_signature(results) == baseline
+        health = resilience.LAST_HEALTH
+        assert health["outcome"] == "exhausted"
+        assert health["degraded"] == "in-process-salvage"
+        assert health["injected"].get("worker-kill", 0) >= 1
+        assert pool.LAST_DECISION["reason"] == "pool-dispatch-degraded"
+
+    def test_jittered_salvage_preserves_rng_draw_order(
+        self, fresh_pool, fifo_rt, monkeypatch
+    ):
+        local = simulate_faults(
+            fifo_rt.netlist, fifo_environment_rules(), STIMULI,
+            use_processes=False, **JITTER_KWARGS,
+        )
+        monkeypatch.setattr(resilience, "DEFAULT_MAX_RETRIES", 0)
+        with chaos.active(ChaosPlan(seed=9, worker_kill=1)):
+            salvaged = _pooled_campaign(fifo_rt, **JITTER_KWARGS)
+        assert campaign_signature(salvaged) == campaign_signature(local)
+        assert resilience.LAST_HEALTH["degraded"] == "in-process-salvage"
+
 
 class TestServiceUnderInjection:
     """Service-level chaos: the asyncio front end under injected faults.

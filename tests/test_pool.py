@@ -190,6 +190,245 @@ class TestCampaignSweepCache:
         assert list(faultsim._SWEEP_CACHE) == [warm, "cold"]
 
 
+class TestInlineCampaign:
+    """The engine's pickled campaign and its inline route to the workers.
+
+    One engine pickles its campaign at most once into a ``(token, blob)``
+    pair; every chunk item carries that pair, so a worker -- first
+    spawned, respawned, or running a retried chunk -- rebuilds the sweep
+    from the item alone, and no campaign state lives outside the engine.
+    """
+
+    @staticmethod
+    def _engine(fifo_rt, **kwargs):
+        from repro.circuit.analysis import fifo_environment_rules
+        from repro.engine.faultsim import FaultSimEngine
+
+        return FaultSimEngine(
+            fifo_rt.netlist,
+            fifo_environment_rules(),
+            [("li", 1, 50.0)],
+            duration_ps=5_000.0,
+            **kwargs,
+        )
+
+    @staticmethod
+    def _slot_faults(engine):
+        return [
+            (slot, value)
+            for slot in sorted(engine.compiled.net_index.values())
+            for value in (0, 1)
+        ]
+
+    @staticmethod
+    def _items(slot_faults):
+        return [(index, slot, value) for index, (slot, value) in enumerate(slot_faults)]
+
+    @pytest.fixture
+    def empty_cache(self, monkeypatch):
+        from repro.engine import faultsim
+
+        monkeypatch.setattr(faultsim, "_SWEEP_CACHE", {})
+        return faultsim._SWEEP_CACHE
+
+    def test_campaign_is_pickled_once_per_engine(self, fifo_rt):
+        import re
+
+        engine = self._engine(fifo_rt)
+        campaign = engine._campaign()
+        assert engine._campaign() is campaign
+        token, blob = campaign
+        assert re.fullmatch(r"[0-9a-f]{32}", token)
+        assert isinstance(blob, bytes) and blob
+
+    def test_engines_mint_distinct_tokens(self, fifo_rt):
+        first, second = self._engine(fifo_rt), self._engine(fifo_rt)
+        assert first._campaign()[0] != second._campaign()[0]
+
+    def test_blob_carries_every_sweep_parameter(self, fifo_rt):
+        import pickle
+
+        engine = self._engine(fifo_rt, delay_jitter=0.1, seed=11)
+        sweep = engine._sweep
+        fields = pickle.loads(engine._campaign()[1])
+        assert set(fields) == {
+            "tables", "rules_by", "stimuli", "obs_slots", "duration_ps",
+            "max_events", "delay_jitter", "env_jitter", "seed", "golden",
+        }
+        assert fields["duration_ps"] == sweep.limit == 5_000.0
+        assert fields["max_events"] == sweep.max_events
+        assert fields["delay_jitter"] == sweep.delay_jitter == 0.1
+        assert fields["env_jitter"] == sweep.env_jitter == 0.0
+        assert fields["seed"] == sweep.seed == 11
+        assert fields["obs_slots"] == sweep.obs_slots
+        assert fields["golden"] == sweep.golden_record()
+
+    def test_close_drops_the_blob_and_the_next_campaign_gets_a_new_token(
+        self, fifo_rt
+    ):
+        import pickle
+
+        engine = self._engine(fifo_rt)
+        old_token, old_blob = engine._campaign()
+        engine.close()
+        assert engine._pickled is None
+        engine.close()  # idempotent
+        new_token, new_blob = engine._campaign()
+        assert new_token != old_token
+        assert pickle.loads(new_blob) == pickle.loads(old_blob)
+
+    def test_context_exit_drops_the_blob_even_on_error(self, fifo_rt):
+        with pytest.raises(RuntimeError, match="inside the block"):
+            with self._engine(fifo_rt) as engine:
+                engine._campaign()
+                raise RuntimeError("inside the block")
+        assert engine._pickled is None
+
+    def test_in_process_runs_never_pickle(self, fifo_rt):
+        engine = self._engine(fifo_rt, collapse=False)
+        faults = [
+            (net, value) for net in engine.compiled.net_index for value in (0, 1)
+        ]
+        engine.run(faults, use_processes=False)
+        assert pool.LAST_DECISION["reason"] == "forced-in-process"
+        assert engine._pickled is None
+
+    def test_jittered_blob_rebuilds_the_same_draws(self, fifo_rt, empty_cache):
+        from repro.engine import faultsim
+
+        engine = self._engine(fifo_rt, delay_jitter=0.1, environment_jitter=0.25)
+        slot_faults = self._slot_faults(engine)
+        campaign = engine._campaign()
+        rebuilt = faultsim._run_fault_shard(campaign, self._items(slot_faults))
+        assert rebuilt == engine._sweep.sweep(slot_faults)
+        assert list(empty_cache) == [campaign[0]]
+
+    def test_undecodable_blob_is_not_cached(self, fifo_rt, empty_cache):
+        import pickle
+
+        from repro.engine import faultsim
+
+        engine = self._engine(fifo_rt)
+        items = self._items(self._slot_faults(engine)[:2])
+        with pytest.raises(pickle.UnpicklingError):
+            faultsim._run_fault_shard(("garbled", b"not a pickle"), items)
+        assert "garbled" not in empty_cache
+        campaign = engine._campaign()
+        faultsim._run_fault_shard(campaign, items)
+        assert list(empty_cache) == [campaign[0]]
+
+    def test_chunk_items_carry_the_one_campaign_in_order(
+        self, fresh_pool, fifo_rt, monkeypatch
+    ):
+        from repro.engine import faultsim
+
+        engine = self._engine(fifo_rt, collapse=False)
+        slot_faults = self._slot_faults(engine)
+        dispatched = []
+
+        def in_process_map(executor, fn, items, label=None):
+            dispatched.extend(items)
+            return [fn(*item) for item in items]
+
+        monkeypatch.setattr(faultsim._resilience, "supervised_map", in_process_map)
+        verdicts = engine._sweep_verdicts(slot_faults, 2, True)
+        assert verdicts == engine._sweep.sweep(slot_faults)
+        assert len(dispatched) == len(
+            faultsim._chunk_bounds(slot_faults, 2 * faultsim._CHUNKS_PER_WORKER)
+        )
+        assert all(campaign is engine._campaign() for campaign, _chunk in dispatched)
+        indices = [index for _campaign, chunk in dispatched for index, *_ in chunk]
+        assert indices == list(range(len(slot_faults)))
+
+    def test_workers_rebuild_the_inline_campaign(self, fresh_pool, fifo_rt):
+        from repro.engine import faultsim
+
+        engine = self._engine(fifo_rt)
+        slot_faults = self._slot_faults(engine)
+        item = (engine._campaign(), self._items(slot_faults))
+        executor = pool.get_pool(max_workers=1)
+        expected = engine._sweep.sweep(slot_faults)
+        for _ in range(2):  # the second call is served by the worker's cache
+            assert executor.submit(faultsim._run_fault_shard, *item).result(60) == (
+                expected
+            )
+
+    def test_retried_chunk_on_respawned_pool_matches(self, fresh_pool, fifo_rt):
+        """The respawned worker holds no cache: the retried item alone
+        carries everything it needs."""
+        from repro.engine import faultsim
+
+        engine = self._engine(fifo_rt)
+        slot_faults = self._slot_faults(engine)
+        item = (engine._campaign(), self._items(slot_faults))
+        executor = pool.get_pool(max_workers=1)
+        first = executor.submit(faultsim._run_fault_shard, *item).result(60)
+        old_pids = pool.worker_pids()
+        pool.discard(kill=True)
+        replacement = pool.get_pool(max_workers=1)
+        retried = replacement.submit(faultsim._run_fault_shard, *item).result(60)
+        assert retried == first == engine._sweep.sweep(slot_faults)
+        assert set(pool.worker_pids()).isdisjoint(old_pids)
+
+    def test_forced_pool_campaign_creates_no_shared_memory(self, fresh_pool, fifo_rt):
+        def segments():
+            if not os.path.isdir("/dev/shm"):  # pragma: no cover - no /dev/shm
+                return set()
+            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+        before = segments()
+        with self._engine(fifo_rt) as engine:
+            faults = [
+                (net, value) for net in engine.compiled.net_index for value in (0, 1)
+            ]
+            pooled = engine.run(faults, shards=2, use_processes=True)
+            assert pool.LAST_DECISION["reason"] == "forced-pool"
+            assert pooled == engine.run(faults, use_processes=False)
+        assert segments() == before
+
+    def test_dropped_engine_is_collected(self, fifo_rt):
+        """No module-level registry pins an engine or its campaign."""
+        import gc
+        import weakref
+
+        engine = self._engine(fifo_rt)
+        engine._campaign()
+        alive = weakref.ref(engine)
+        del engine
+        gc.collect()
+        assert alive() is None
+
+    def test_uncompiled_gates_stay_in_process_without_pickling(self):
+        """OP_CALL rows hold callables the tables cannot carry."""
+        from repro.circuit.library import GateType
+        from repro.circuit.netlist import Netlist
+        from repro.engine.faultsim import FaultSimEngine
+
+        def touchy(inputs, prev):
+            if inputs[0] and inputs[1]:
+                raise RuntimeError("pull-down fight on touchy gate")
+            return inputs[0] or inputs[1]
+
+        gate_type = GateType(
+            name="TOUCHY", num_inputs=2, eval_fn=touchy,
+            transistors=4, delay_ps=90.0, energy_pj=0.4,
+        )
+        netlist = Netlist("touchy")
+        netlist.add_primary_input("a")
+        netlist.add_primary_input("b")
+        netlist.add_primary_output("y")
+        netlist.add_gate("g", gate_type, ["a", "b"], "y")
+        engine = FaultSimEngine(
+            netlist, [], [("a", 1, 10.0)], observables=["y"], duration_ps=1_000.0
+        )
+        assert engine.compiled.has_call_gates()
+        faults = [(net, value) for net in ("a", "b", "y") for value in (0, 1)]
+        verdicts = engine.run(faults, shards=2, use_processes=True)
+        assert pool.LAST_DECISION["reason"] == "uncompiled-gates"
+        assert engine._pickled is None
+        assert verdicts == engine.run(faults, use_processes=False)
+
+
 class TestPoolLifecycleEdges:
     def test_discard_tolerates_an_already_broken_pool(self, fresh_pool):
         from concurrent.futures.process import BrokenProcessPool
