@@ -81,6 +81,17 @@ contract.  This lint makes them mechanical:
     one -- whose delta-cycle semantics the differential suite pins only
     by accident; run ``drain`` with a time limit instead.
 
+``single-exploration-loop``
+    Petri-net exploration has one owner: ``engine/marking.py``'s two BFS
+    cores (``explore_bits``, ``explore_counts``), which every reachability,
+    boundedness, state-graph and consistency exploration drives through
+    its ``select``/``relabel``/``discover`` hooks.  Any other function
+    that both contains a ``while`` loop and reads a ``NetEncoding``
+    firing table (``consume``, ``produce``, ``need_mask``,
+    ``consume_mask``, ``produce_mask``) is growing a second hand-copied
+    firing rule whose order and error texts nothing keeps in step with
+    the cores; pass a hook to a core instead.
+
 ``closure-self-reference``
     A nested ``def`` under ``src/repro/engine`` or ``src/repro/rappid``
     that calls itself by name reaches itself through its own closure
@@ -503,6 +514,52 @@ def check_single_event_loop(engine_root: Path) -> List[Finding]:
     )
 
 
+# NetEncoding's firing tables, and the one module allowed to loop over them.
+_FIRING_TABLES = {"consume", "produce", "need_mask", "consume_mask", "produce_mask"}
+_EXPLORATION_OWNER = "engine/marking.py"
+
+
+def _outermost_defs(node: ast.AST):
+    """Module-level functions and methods; nested defs stay inside them."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+        else:
+            yield from _outermost_defs(child)
+
+
+def check_single_exploration_loop(src_root: Path) -> List[Finding]:
+    """``single-exploration-loop``: firing-table loops outside engine/marking.py."""
+    findings: List[Finding] = []
+    for path in sorted(src_root.rglob("*.py")):
+        if path.relative_to(src_root).as_posix() == _EXPLORATION_OWNER:
+            continue
+        for function in _outermost_defs(_parse(path)):
+            nodes = list(ast.walk(function))
+            tables = sorted(
+                {
+                    node.attr
+                    for node in nodes
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in _FIRING_TABLES
+                }
+            )
+            if tables and any(isinstance(node, ast.While) for node in nodes):
+                findings.append(
+                    Finding(
+                        path,
+                        function.lineno,
+                        "single-exploration-loop",
+                        f"{function.name}() loops with while and reads the "
+                        f"firing table(s) {', '.join(tables)} outside "
+                        f"{_EXPLORATION_OWNER}, a second exploration loop; "
+                        "pass a select/relabel/discover hook to "
+                        "NetEncoding.explore_bits or explore_counts instead",
+                    )
+                )
+    return findings
+
+
 def _nested_defs(node: ast.AST, inside: bool = False):
     """Every ``def`` nested in another function's body, outermost first."""
     for child in ast.iter_child_nodes(node):
@@ -547,6 +604,7 @@ def run(src_root: Path, engine_root: Path, differential_test: Path) -> List[Find
     findings.extend(check_gate_dispatch(engine_root))
     findings.extend(check_period_hunt(engine_root))
     findings.extend(check_single_event_loop(engine_root))
+    findings.extend(check_single_exploration_loop(src_root))
     findings.extend(
         check_closure_self_reference(
             [root for root in (engine_root, src_root / "rappid") if root.is_dir()]

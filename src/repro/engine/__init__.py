@@ -33,17 +33,24 @@ hash their place-name strings on every construction -- are materialised
 only once per *distinct* reachable marking, after exploration finishes,
 instead of once per fired edge.
 
+The codec holds the repo's only two exploration loops, one BFS core per
+key encoding (``explore_bits``, ``explore_counts``).  Callers adapt them
+through three optional hooks: ``select`` (the stubborn subset of a
+reduced exploration), ``relabel`` (a signal code riding as a trailing
+count-tuple slot) and ``discover`` (a callback on each new key).
+
 When delegation kicks in
 ------------------------
-* ``build_reachability_graph`` always delegates; it picks the safe path
-  when called with ``bound=1`` (what STG validation uses) and falls back
-  to the general path otherwise, including when the initial marking is
-  itself unsafe.  The pre-engine BFS is retained as
+* ``build_reachability_graph`` (and ``explore``, its reduced default)
+  always delegates; it picks the safe path when called with ``bound=1``
+  and falls back to the general path otherwise, including when the
+  initial marking is itself unsafe.  The pre-engine BFS is retained as
   ``_reference_build_reachability_graph`` for differential testing.
-* ``build_state_graph`` runs its BFS over ``(marking key, code int)``
-  pairs where the code int packs one bit per signal in
-  ``signal_order``; ``State``/``Marking`` objects are materialised after
-  exploration in the same BFS discovery order the naive code produced.
+  ``check_boundedness`` runs the general path with a ``discover`` hook.
+* ``build_state_graph`` and ``check_consistency`` run the general path
+  with a ``relabel`` hook over keys whose trailing slot is a code int
+  packing one bit per signal in ``signal_order``; ``State``/``Marking``
+  objects are materialised after exploration in BFS discovery order.
 * ``EventDrivenSimulator`` compiles its netlist once
   (:class:`~repro.engine.events.CompiledNetlist`): net names become array
   slots, the per-event ``fanout_of`` scan over every gate becomes a
@@ -105,7 +112,7 @@ including raised errors -- are indistinguishable from the naive code.
 from repro.engine.chaos import ChaosPlan
 from repro.engine.events import BatchEventQueue, CompiledNetlist
 from repro.engine.faultsim import FaultSimEngine
-from repro.engine.marking import EncodingError, NetEncoding, explore_net
+from repro.engine.marking import EncodingError, NetEncoding
 from repro.engine.rappid_batch import run_batched
 from repro.engine.resilience import PoolDispatchError, supervised_map
 from repro.engine.simkernel import LazyWaveforms, SimKernel
@@ -120,7 +127,6 @@ __all__ = [
     "NetEncoding",
     "PoolDispatchError",
     "SimKernel",
-    "explore_net",
     "run_batched",
     "supervised_map",
 ]

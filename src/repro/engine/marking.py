@@ -20,9 +20,10 @@ materialised.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.petrinet.net import Marking, PetriNet, PetriNetError
+from repro.petrinet.reachability import UnboundedNetError
 
 CountKey = Tuple[int, ...]
 EdgeList = List[Tuple[int, int, int]]  # (source index, transition index, target index)
@@ -172,16 +173,31 @@ class NetEncoding:
         return marking
 
     # -- exploration ----------------------------------------------------------------
+    # The two BFS cores every exploration runs through, one per key encoding.
+    # Keys are numbered in discovery order; edges are ``(source, t, target)``
+    # index triples in firing order.  ``cap_error`` is the exception instance
+    # raised when a new key would exceed ``max_states``; bound violations
+    # raise ``UnboundedNetError``.  Hooks are ``None`` unless a caller needs
+    # them:
+    # * ``select(marking)`` -- the transitions to try at ``marking`` (a
+    #   reduced exploration's stubborn subset) in ascending order; without it
+    #   every transition is tried.  The enabled test stays inline either way.
+    # * ``relabel(t, code)`` (counts only) -- the signal code after firing
+    #   ``t``, riding as a trailing key slot; called before the fire, it may
+    #   raise, or return ``None`` to skip ``t``.
+    # * ``discover(source, successor)`` (counts only) -- called on each new
+    #   key just before the cap check.
     def explore_bits(
         self,
         initial: int,
         max_states: int,
-        unbounded_error: type,
+        cap_error: Exception,
+        select: Optional[Callable[[int], Sequence[int]]] = None,
     ) -> Tuple[List[int], EdgeList]:
         """BFS over bitmask markings with an implicit ``bound=1``.
 
         Token overflow (a produced token landing on an already-marked place
-        that the fire did not consume) raises ``unbounded_error`` exactly
+        that the fire did not consume) raises ``UnboundedNetError`` exactly
         where the reference per-place bound check would.
         """
         need_mask = self.need_mask
@@ -197,7 +213,7 @@ class NetEncoding:
             marking = keys[head]
             source = head
             head += 1
-            for t in transitions:
+            for t in transitions if select is None else select(marking):
                 need = need_mask[t]
                 if marking & need != need:
                     continue
@@ -205,7 +221,7 @@ class NetEncoding:
                 overflow = remainder & produce_mask[t]
                 if overflow:
                     place = self._first_sorted_slot(overflow)
-                    raise unbounded_error(
+                    raise UnboundedNetError(
                         f"place {place!r} exceeds bound 1 "
                         f"after firing {self.transition_names[t]!r}"
                     )
@@ -213,10 +229,7 @@ class NetEncoding:
                 target = index.get(successor)
                 if target is None:
                     if len(index) >= max_states:
-                        raise unbounded_error(
-                            f"state cap of {max_states} markings exceeded; "
-                            "the net is unbounded or too large"
-                        )
+                        raise cap_error
                     target = len(keys)
                     index[successor] = target
                     keys.append(successor)
@@ -228,7 +241,10 @@ class NetEncoding:
         initial: CountKey,
         max_states: int,
         bound: Optional[int],
-        unbounded_error: type,
+        cap_error: Exception,
+        select: Optional[Callable[[CountKey], Sequence[int]]] = None,
+        relabel: Optional[Callable[[int, int], Optional[int]]] = None,
+        discover: Optional[Callable[[int, CountKey], None]] = None,
     ) -> Tuple[List[CountKey], EdgeList]:
         """BFS over count-tuple markings (weighted arcs, capacities, any bound)."""
         consume = self.consume
@@ -248,7 +264,7 @@ class NetEncoding:
             marking = keys[head]
             source = head
             head += 1
-            for t in transitions:
+            for t in transitions if select is None else select(marking):
                 enabled = True
                 for slot, weight in consume[t]:
                     if marking[slot] < weight:
@@ -257,6 +273,11 @@ class NetEncoding:
                 if not enabled:
                     continue
                 counts = list(marking)
+                if relabel is not None:
+                    code = relabel(t, marking[-1])
+                    if code is None:
+                        continue
+                    counts[-1] = code
                 for slot, weight in consume[t]:
                     counts[slot] -= weight
                 for slot, weight in produce[t]:
@@ -272,18 +293,17 @@ class NetEncoding:
                 if bound is not None:
                     for slot in sorted_slots:
                         if counts[slot] > bound:
-                            raise unbounded_error(
+                            raise UnboundedNetError(
                                 f"place {names[slot]!r} exceeds bound {bound} "
                                 f"after firing {transition_names[t]!r}"
                             )
                 successor = tuple(counts)
                 target = index.get(successor)
                 if target is None:
+                    if discover is not None:
+                        discover(source, successor)
                     if len(index) >= max_states:
-                        raise unbounded_error(
-                            f"state cap of {max_states} markings exceeded; "
-                            "the net is unbounded or too large"
-                        )
+                        raise cap_error
                     target = len(keys)
                     index[successor] = target
                     keys.append(successor)
@@ -297,30 +317,3 @@ class NetEncoding:
                 return self.place_names[slot]
         raise AssertionError("no bit set")  # pragma: no cover - defensive
 
-
-def explore_net(
-    net: PetriNet,
-    max_states: int,
-    bound: Optional[int],
-    unbounded_error: type,
-) -> Tuple[NetEncoding, List[Marking], EdgeList]:
-    """Explore ``net`` and return decoded markings plus index-based edges.
-
-    Chooses the bitmask path when ``bound == 1`` on a unit-weight,
-    capacity-free net, and the count-tuple path otherwise.  Markings are
-    returned in BFS discovery order; edges reference marking indices.
-    """
-    codec = NetEncoding.for_net(net)
-    initial = net.initial_marking
-    if bound == 1 and codec.bit_capable:
-        try:
-            initial_bits = codec.encode_bits(initial)
-        except EncodingError:
-            pass  # initial marking itself is unsafe: fall through
-        else:
-            keys, edges = codec.explore_bits(initial_bits, max_states, unbounded_error)
-            return codec, [codec.decode_bits(key) for key in keys], edges
-    count_keys, edges = codec.explore_counts(
-        codec.encode(initial), max_states, bound, unbounded_error
-    )
-    return codec, [codec.decode(key) for key in count_keys], edges

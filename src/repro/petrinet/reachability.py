@@ -188,16 +188,18 @@ def build_reachability_graph(
 ) -> ReachabilityGraph:
     """Explore the reachable markings of ``net``.
 
-    With the default ``reduction=Reduction.FULL`` this is a breadth-first
-    exploration of every marking on the interned integer encoding of
-    :mod:`repro.engine.marking`; markings and edges come back in the same
+    Runs one of the two BFS cores of :mod:`repro.engine.marking`: the
+    bitmask core when ``bound == 1`` on a unit-weight, capacity-free net
+    with a safe initial marking, the count-tuple core otherwise.
+
+    With the default ``reduction=Reduction.FULL`` every enabled transition
+    is fired at every marking; markings and edges come back in the same
     BFS order (and with the same error behaviour) as the retained
     :func:`_reference_build_reachability_graph`.
 
-    With ``reduction=Reduction.DEADLOCKS`` exploration delegates to the
-    stubborn-set core :func:`explore`, which fires only a sound subset
-    of the enabled transitions per marking while preserving the exact
-    deadlock-marking set.
+    With ``reduction=Reduction.DEADLOCKS`` the core fires only a stubborn
+    subset of the enabled transitions per marking (see :func:`explore`),
+    which preserves the exact deadlock-marking set.
 
     Parameters
     ----------
@@ -214,13 +216,34 @@ def build_reachability_graph(
         pruned interleavings may go unreported -- bound questions need
         the full graph (see ``docs/reachability.md``).
     """
-    reduction = Reduction(reduction)
-    if reduction is not Reduction.FULL:
-        return explore(net, max_states=max_states, bound=bound, reduction=reduction)
-    from repro.engine.marking import explore_net
+    from repro.engine.marking import EncodingError, NetEncoding
 
-    codec, markings, edges = explore_net(net, max_states, bound, UnboundedNetError)
-    graph = ReachabilityGraph(net=net, markings=markings)
+    reduction = Reduction(reduction)
+    codec = NetEncoding.for_net(net)
+    cap_error = UnboundedNetError(
+        f"state cap of {max_states} markings exceeded; "
+        "the net is unbounded or too large"
+    )
+    initial = net.initial_marking
+    bits = None
+    if bound == 1 and codec.bit_capable:
+        try:
+            bits = codec.encode_bits(initial)
+        except EncodingError:
+            pass  # initial marking itself is unsafe: count tuples report it
+    select = None
+    if reduction is not Reduction.FULL:
+        select = _stubborn_selector(net, codec, bits is not None)
+    if bits is not None:
+        keys, edges = codec.explore_bits(bits, max_states, cap_error, select)
+        decode = codec.decode_bits
+    else:
+        keys, edges = codec.explore_counts(
+            codec.encode(initial), max_states, bound, cap_error, select
+        )
+        decode = codec.decode
+    markings = [decode(key) for key in keys]
+    graph = ReachabilityGraph(net=net, markings=markings, reduction=reduction)
     transition_names = codec.transition_names
     graph.edges = {
         (markings[source], transition_names[t]): markings[target]
@@ -288,11 +311,11 @@ class Boundedness(str, enum.Enum):
 def check_boundedness(net: PetriNet, limit: int = 4096) -> Boundedness:
     """Decide boundedness with an explicit *unknown* verdict.
 
-    BFS over count-tuple markings with a Karp--Miller-style witness: a
-    new marking that strictly covers one of its BFS-tree ancestors
-    proves the covering firing sequence can be repeated to pump tokens
-    without bound -- ``UNBOUNDED``, regardless of ``limit``.  If the
-    state cap is hit without such a witness the verdict is
+    The count-tuple core with a Karp--Miller-style witness as its
+    ``discover`` hook: a new marking that strictly covers one of its
+    BFS-tree ancestors proves the covering firing sequence can be repeated
+    to pump tokens without bound -- ``UNBOUNDED``, regardless of
+    ``limit``.  If the state cap is hit without such a witness the verdict is
     ``TRUNCATED`` (the net may be bounded but larger than ``limit``),
     never a silent "unbounded" -- that conflation was the old
     ``is_bounded`` behaviour.
@@ -300,59 +323,29 @@ def check_boundedness(net: PetriNet, limit: int = 4096) -> Boundedness:
     from repro.engine.marking import NetEncoding
 
     codec = NetEncoding.for_net(net)
-    consume = codec.consume
-    produce = codec.produce
-    capacities = codec.capacities
-    check_capacity = any(c is not None for c in capacities)
-    transitions = range(len(consume))
-
     initial = codec.encode(net.initial_marking)
     keys: List[Tuple[int, ...]] = [initial]
     parent: List[int] = [-1]
-    index: Dict[Tuple[int, ...], int] = {initial: 0}
-    head = 0
-    while head < len(keys):
-        marking = keys[head]
-        source = head
-        head += 1
-        for t in transitions:
-            enabled = True
-            for slot, weight in consume[t]:
-                if marking[slot] < weight:
-                    enabled = False
-                    break
-            if not enabled:
-                continue
-            counts = list(marking)
-            for slot, weight in consume[t]:
-                counts[slot] -= weight
-            for slot, weight in produce[t]:
-                counts[slot] += weight
-            if check_capacity:
-                for slot in codec._sorted_slots:
-                    capacity = capacities[slot]
-                    if capacity is not None and counts[slot] > capacity:
-                        raise PetriNetError(
-                            f"firing {codec.transition_names[t]!r} exceeds "
-                            f"capacity of place {codec.place_names[slot]!r}"
-                        )
-            successor = tuple(counts)
-            if successor in index:
-                continue
-            ancestor = source
-            while ancestor != -1:
-                candidate = keys[ancestor]
-                if candidate != successor and all(
-                    successor[slot] >= candidate[slot]
-                    for slot in range(len(successor))
-                ):
-                    return Boundedness.UNBOUNDED
-                ancestor = parent[ancestor]
-            if len(index) >= limit:
-                return Boundedness.TRUNCATED
-            index[successor] = len(keys)
-            parent.append(source)
-            keys.append(successor)
+
+    def discover(source: int, successor: Tuple[int, ...]) -> None:
+        ancestor = source
+        while ancestor != -1:
+            candidate = keys[ancestor]
+            covered = all(new >= old for new, old in zip(successor, candidate))
+            if covered and candidate != successor:
+                raise UnboundedNetError("a new marking covers its ancestor")
+            ancestor = parent[ancestor]
+        parent.append(source)
+        keys.append(successor)
+
+    try:
+        codec.explore_counts(
+            initial, limit, None, TruncatedExplorationError(), discover=discover
+        )
+    except UnboundedNetError:
+        return Boundedness.UNBOUNDED
+    except TruncatedExplorationError:
+        return Boundedness.TRUNCATED
     return Boundedness.BOUNDED
 
 
@@ -495,148 +488,27 @@ def _stubborn_subset(
     return best
 
 
-def explore(
-    net: PetriNet,
-    max_states: int = 1_000_000,
-    bound: Optional[int] = None,
-    reduction: Reduction = Reduction.DEADLOCKS,
-) -> ReachabilityGraph:
-    """Stubborn-set reduced exploration core.
+def _stubborn_selector(net: PetriNet, codec, bits: bool):
+    """The ``select`` hook of the exploration cores for ``Reduction.DEADLOCKS``.
 
-    At each marking only a stubborn subset of the enabled transitions is
-    fired (see :func:`_stubborn_subset`); the resulting graph explores a
-    subset of the reachable markings while containing exactly the same
-    deadlock markings as the full graph built by
-    :func:`build_reachability_graph` /
-    :func:`_reference_build_reachability_graph` -- the differential
-    contract pinned by the test suite.  ``reduction=Reduction.FULL``
-    simply delegates to the full builder.
-
-    Error behaviour mirrors the full exploration one-sidedly: a raised
-    ``bound`` violation or ``max_states`` cap is always genuine, but a
-    violation only reachable through pruned interleavings may be
-    missed; use the full graph for bound questions.
+    ``bits`` says which keys the hook reads: the bitmask markings of
+    ``NetEncoding.explore_bits`` or the count tuples of ``explore_counts``.
     """
-    reduction = Reduction(reduction)
-    if reduction is Reduction.FULL:
-        return build_reachability_graph(net, max_states=max_states, bound=bound)
-    from repro.engine.marking import EncodingError, NetEncoding
-
-    codec = NetEncoding.for_net(net)
     relations = _StubbornRelations.for_net(net, codec)
-    initial = net.initial_marking
-    if bound == 1 and codec.bit_capable:
-        try:
-            initial_bits = codec.encode_bits(initial)
-        except EncodingError:
-            pass  # initial marking itself is unsafe: fall through
-        else:
-            keys, edges = _explore_reduced_bits(
-                codec, relations, initial_bits, max_states
-            )
-            markings = [codec.decode_bits(key) for key in keys]
-            return _materialise(net, codec, markings, edges, reduction)
-    count_keys, edges = _explore_reduced_counts(
-        codec, relations, codec.encode(initial), max_states, bound
-    )
-    markings = [codec.decode(key) for key in count_keys]
-    return _materialise(net, codec, markings, edges, reduction)
-
-
-def _materialise(
-    net: PetriNet,
-    codec,
-    markings: List[Marking],
-    edges: List[Tuple[int, int, int]],
-    reduction: Reduction,
-) -> ReachabilityGraph:
-    graph = ReachabilityGraph(net=net, markings=markings, reduction=reduction)
-    transition_names = codec.transition_names
-    graph.edges = {
-        (markings[source], transition_names[t]): markings[target]
-        for source, t, target in edges
-    }
-    return graph
-
-
-def _explore_reduced_bits(
-    codec,
-    relations: _StubbornRelations,
-    initial: int,
-    max_states: int,
-) -> Tuple[List[int], List[Tuple[int, int, int]]]:
-    """Reduced BFS over bitmask markings with an implicit ``bound=1``."""
+    transitions = range(len(codec.transition_names))
     need_mask = codec.need_mask
-    consume_mask = codec.consume_mask
-    produce_mask = codec.produce_mask
-    transitions = range(len(need_mask))
+    consume = codec.consume
 
-    keys: List[int] = [initial]
-    index: Dict[int, int] = {initial: 0}
-    edges: List[Tuple[int, int, int]] = []
-    head = 0
-    while head < len(keys):
-        marking = keys[head]
-        source = head
-        head += 1
+    def select_bits(marking: int) -> Sequence[int]:
         enabled = [t for t in transitions if marking & need_mask[t] == need_mask[t]]
-        if not enabled:
-            continue
 
-        def insufficient_slot(t: int, _marking: int = marking) -> int:
-            missing = need_mask[t] & ~_marking
+        def insufficient_slot(t: int) -> int:
+            missing = need_mask[t] & ~marking
             return (missing & -missing).bit_length() - 1
 
-        ample = _stubborn_subset(relations, enabled, set(enabled), insufficient_slot)
-        for t in ample:
-            remainder = marking & ~consume_mask[t]
-            overflow = remainder & produce_mask[t]
-            if overflow:
-                place = codec._first_sorted_slot(overflow)
-                raise UnboundedNetError(
-                    f"place {place!r} exceeds bound 1 "
-                    f"after firing {codec.transition_names[t]!r}"
-                )
-            successor = remainder | produce_mask[t]
-            target = index.get(successor)
-            if target is None:
-                if len(index) >= max_states:
-                    raise UnboundedNetError(
-                        f"state cap of {max_states} markings exceeded; "
-                        "the net is unbounded or too large"
-                    )
-                target = len(keys)
-                index[successor] = target
-                keys.append(successor)
-            edges.append((source, t, target))
-    return keys, edges
+        return _stubborn_subset(relations, enabled, set(enabled), insufficient_slot)
 
-
-def _explore_reduced_counts(
-    codec,
-    relations: _StubbornRelations,
-    initial: Tuple[int, ...],
-    max_states: int,
-    bound: Optional[int],
-) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, int, int]]]:
-    """Reduced BFS over count-tuple markings (weighted arcs, any bound)."""
-    consume = codec.consume
-    produce = codec.produce
-    capacities = codec.capacities
-    names = codec.place_names
-    transition_names = codec.transition_names
-    sorted_slots = codec._sorted_slots
-    transitions = range(len(consume))
-    check_capacity = any(c is not None for c in capacities)
-
-    keys: List[Tuple[int, ...]] = [initial]
-    index: Dict[Tuple[int, ...], int] = {initial: 0}
-    edges: List[Tuple[int, int, int]] = []
-    head = 0
-    while head < len(keys):
-        marking = keys[head]
-        source = head
-        head += 1
+    def select_counts(marking: Tuple[int, ...]) -> Sequence[int]:
         enabled = []
         for t in transitions:
             for slot, weight in consume[t]:
@@ -644,47 +516,35 @@ def _explore_reduced_counts(
                     break
             else:
                 enabled.append(t)
-        if not enabled:
-            continue
 
-        def insufficient_slot(t: int, _marking: Tuple[int, ...] = marking) -> int:
+        def insufficient_slot(t: int) -> int:
             for slot, weight in consume[t]:
-                if _marking[slot] < weight:
+                if marking[slot] < weight:
                     return slot
             raise AssertionError("transition is enabled")  # pragma: no cover
 
-        ample = _stubborn_subset(relations, enabled, set(enabled), insufficient_slot)
-        for t in ample:
-            counts = list(marking)
-            for slot, weight in consume[t]:
-                counts[slot] -= weight
-            for slot, weight in produce[t]:
-                counts[slot] += weight
-            if check_capacity:
-                for slot in sorted_slots:
-                    capacity = capacities[slot]
-                    if capacity is not None and counts[slot] > capacity:
-                        raise PetriNetError(
-                            f"firing {transition_names[t]!r} exceeds "
-                            f"capacity of place {names[slot]!r}"
-                        )
-            if bound is not None:
-                for slot in sorted_slots:
-                    if counts[slot] > bound:
-                        raise UnboundedNetError(
-                            f"place {names[slot]!r} exceeds bound {bound} "
-                            f"after firing {transition_names[t]!r}"
-                        )
-            successor = tuple(counts)
-            target = index.get(successor)
-            if target is None:
-                if len(index) >= max_states:
-                    raise UnboundedNetError(
-                        f"state cap of {max_states} markings exceeded; "
-                        "the net is unbounded or too large"
-                    )
-                target = len(keys)
-                index[successor] = target
-                keys.append(successor)
-            edges.append((source, t, target))
-    return keys, edges
+        return _stubborn_subset(relations, enabled, set(enabled), insufficient_slot)
+
+    return select_bits if bits else select_counts
+
+
+def explore(
+    net: PetriNet,
+    max_states: int = 1_000_000,
+    bound: Optional[int] = None,
+    reduction: Reduction = Reduction.DEADLOCKS,
+) -> ReachabilityGraph:
+    """:func:`build_reachability_graph` with ``Reduction.DEADLOCKS`` as default.
+
+    At each marking only a stubborn subset of the enabled transitions is
+    fired (see :func:`_stubborn_subset`); the graph explores a subset of
+    the reachable markings but contains exactly the deadlock markings of
+    :func:`_reference_build_reachability_graph` -- the differential
+    contract pinned by the test suite.  A raised ``bound`` violation or
+    ``max_states`` cap is always genuine, but a violation only reachable
+    through pruned interleavings may be missed; use the full graph for
+    bound questions.
+    """
+    return build_reachability_graph(
+        net, max_states=max_states, bound=bound, reduction=reduction
+    )

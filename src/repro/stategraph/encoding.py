@@ -356,21 +356,6 @@ def _reduce_under_orderings(
     return graph.copy_without_edges(removed)
 
 
-def _is_safe_graph(graph: StateGraph) -> bool:
-    """True when every place holds at most one token in every state."""
-    for state in graph.states:
-        for _place, count in state.marking.items():
-            if count > 1:
-                return False
-    return True
-
-
-def _candidate_score(graph: StateGraph) -> Tuple[int, int]:
-    """Score a candidate insertion: (remaining conflicts, state count)."""
-    conflicts = find_csc_conflicts(graph)
-    return (len(conflicts), len(graph.states))
-
-
 def resolve_csc(
     stg: SignalTransitionGraph,
     signal_prefix: str = "x",
@@ -438,18 +423,19 @@ def resolve_csc(
                         initial_value,
                         allow_inputs=timing_aware,
                     )
-                    candidate_graph = build_state_graph(candidate, max_states=max_states)
+                    # bound=1 rejects a candidate at its first unsafe marking.
+                    candidate_graph = build_state_graph(
+                        candidate, max_states=max_states, bound=1
+                    )
                 except (StgError, StateGraphError):
                     continue
                 if candidate_graph.initial_state is None:
                     continue
-                # Reject candidates that introduce deadlocks or unsafe places.
+                # Reject candidates that introduce deadlocks.
                 if any(
                     not candidate_graph.successors(state)
                     for state in candidate_graph.states
                 ):
-                    continue
-                if not _is_safe_graph(candidate_graph):
                     continue
                 conflicts_left = len(
                     conflicts_of(candidate_graph, implied + candidate_implied)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.petrinet.net import Marking, PetriNetError
+from repro.petrinet.net import Marking
 from repro.stg.model import Direction, SignalTransition, SignalTransitionGraph
 
 
@@ -185,128 +185,100 @@ class StateGraph:
         return reduced
 
 
+def code_relabel(
+    stg: SignalTransitionGraph,
+    signal_order: List[str],
+    on_violation: Callable[[SignalTransition, int], None],
+) -> Tuple[Tuple[int, ...], Callable[[int, int], Optional[int]]]:
+    """Initial key of ``stg``'s state exploration and its ``relabel`` hook.
+
+    A key is the marking's count tuple plus one trailing slot for the
+    signal code, an int with bit ``i`` for ``signal_order[i]``.  The hook
+    (for :meth:`~repro.engine.marking.NetEncoding.explore_counts`) returns
+    the code after firing transition index ``t``: unchanged for a silent
+    transition, with the signal's bit flipped for a labelled one.  A
+    labelled transition that fires against the current value of its signal
+    is an inconsistency: the hook calls ``on_violation(label, value)``,
+    which may raise, and otherwise skips the transition.
+    """
+    from repro.engine.marking import NetEncoding
+
+    codec = NetEncoding.for_net(stg.net)
+    position = {signal: i for i, signal in enumerate(signal_order)}
+    # Per transition index: None for silent, else (label, signal bit, rising).
+    label_info = [
+        None if label is None else (label, 1 << position[label.signal], label.is_rising)
+        for label in map(stg.label_of, codec.transition_names)
+    ]
+
+    def relabel(t: int, code: int) -> Optional[int]:
+        info = label_info[t]
+        if info is None:
+            return code
+        label, bit, rising = info
+        if bool(code & bit) == rising:
+            on_violation(label, 1 if code & bit else 0)
+            return None
+        return (code | bit) if rising else (code & ~bit)
+
+    values = stg.initial_state_vector()
+    code = sum(1 << i for i, signal in enumerate(signal_order) if values[signal])
+    return codec.encode(stg.net.initial_marking) + (code,), relabel
+
+
 def build_state_graph(
     stg: SignalTransitionGraph,
     max_states: int = 500_000,
+    bound: Optional[int] = None,
 ) -> StateGraph:
     """Construct the full state graph of an STG.
 
-    The BFS runs over interned ``(marking key, code int)`` pairs from the
-    :mod:`repro.engine.marking` encoding -- one bit per signal in the code
-    int, one slot per place in the marking key -- and materialises
-    :class:`State` objects only once per distinct state, in the same BFS
-    discovery order as the naive object-level exploration.
+    The BFS is the count-tuple core of :mod:`repro.engine.marking`: each
+    key is the marking's token counts with the signal code (one bit per
+    signal) riding as one extra trailing slot, stepped by the
+    :func:`code_relabel` hook.  :class:`State` objects are materialised
+    once per distinct state, in BFS discovery order.
 
     Raises
     ------
     StateGraphError
         If the STG is inconsistent (a transition fires against the current
-        signal value) or exploration exceeds ``max_states``.
+        signal value), exploration exceeds ``max_states``, or -- with
+        ``bound`` given -- a place exceeds ``bound`` tokens (CSC candidates
+        use ``bound=1`` to stop at the first unsafe marking).
     """
     from repro.engine.marking import NetEncoding
+    from repro.petrinet.reachability import UnboundedNetError
 
     signal_order = sorted(stg.signals)
     graph = StateGraph(stg, signal_order)
-    net = stg.net
     num_signals = len(signal_order)
+    codec = NetEncoding.for_net(stg.net)
 
-    codec = NetEncoding.for_net(net)
-    consume = codec.consume
-    produce = codec.produce
-    capacities = codec.capacities
-    check_capacity = any(c is not None for c in capacities)
-    # Violations are reported like net.fire would: PetriNetError, naming the
-    # first violating place in sorted-name order.
-    sorted_slots = sorted(
-        range(len(codec.place_names)), key=codec.place_names.__getitem__
-    )
-    transition_names = codec.transition_names
-    # Per transition: None for silent, else (label, signal bit, expected
-    # current value, value after firing).
-    label_info = []
-    for name in transition_names:
-        label = stg.label_of(name)
-        if label is None:
-            label_info.append(None)
-        else:
-            bit = 1 << graph.signal_index(label.signal)
-            label_info.append((label, bit, 0 if label.is_rising else 1, label.is_rising))
-    transitions = range(len(transition_names))
+    def inconsistent(label: SignalTransition, value: int) -> None:
+        raise StateGraphError(
+            f"inconsistent STG: {label} enabled while {label.signal}={value}"
+        )
 
-    initial_values = stg.initial_state_vector()
-    initial_code = 0
-    for position, signal in enumerate(signal_order):
-        if initial_values[signal]:
-            initial_code |= 1 << position
-    initial_key = (codec.encode(net.initial_marking), initial_code)
+    initial_key, relabel = code_relabel(stg, signal_order, inconsistent)
+    cap_error = StateGraphError(f"state graph exceeds {max_states} states")
+    try:
+        keys, edges = codec.explore_counts(
+            initial_key, max_states, bound, cap_error, relabel=relabel
+        )
+    except UnboundedNetError as exc:
+        raise StateGraphError(str(exc)) from exc
 
-    # BFS over integer keys; edges reference state indices.
-    keys = [initial_key]
-    index = {initial_key: 0}
-    edges = []
-    head = 0
-    while head < len(keys):
-        marking, code = keys[head]
-        source = head
-        head += 1
-        for t in transitions:
-            enabled = True
-            for slot, weight in consume[t]:
-                if marking[slot] < weight:
-                    enabled = False
-                    break
-            if not enabled:
-                continue
-            info = label_info[t]
-            if info is None:
-                successor_code = code
-            else:
-                label, bit, expected, rising = info
-                if bool(code & bit) != bool(expected):
-                    raise StateGraphError(
-                        f"inconsistent STG: {label} enabled while "
-                        f"{label.signal}={(code >> graph.signal_index(label.signal)) & 1}"
-                    )
-                successor_code = (code | bit) if rising else (code & ~bit)
-            counts = list(marking)
-            for slot, weight in consume[t]:
-                counts[slot] -= weight
-            for slot, weight in produce[t]:
-                counts[slot] += weight
-            if check_capacity:
-                for slot in sorted_slots:
-                    capacity = capacities[slot]
-                    if capacity is not None and counts[slot] > capacity:
-                        raise PetriNetError(
-                            f"firing {transition_names[t]!r} exceeds "
-                            f"capacity of place {codec.place_names[slot]!r}"
-                        )
-            successor_key = (tuple(counts), successor_code)
-            target = index.get(successor_key)
-            if target is None:
-                if len(index) >= max_states:
-                    raise StateGraphError(
-                        f"state graph exceeds {max_states} states"
-                    )
-                target = len(keys)
-                index[successor_key] = target
-                keys.append(successor_key)
-            edges.append((source, t, target))
-
-    # Materialise State objects in discovery order; each distinct marking
-    # key is decoded into a Marking exactly once.
-    marking_cache: Dict[Tuple[int, ...], Marking] = {}
+    # Materialise State objects in discovery order (decode reads the place
+    # slots and ignores the trailing code slot).
     states: List[State] = []
-    for marking_key, code in keys:
-        decoded = marking_cache.get(marking_key)
-        if decoded is None:
-            decoded = codec.decode(marking_key)
-            marking_cache[marking_key] = decoded
-        code_tuple = tuple((code >> position) & 1 for position in range(num_signals))
-        state = State(decoded, code_tuple)
+    for key in keys:
+        code = tuple((key[-1] >> position) & 1 for position in range(num_signals))
+        state = State(codec.decode(key), code)
         states.append(state)
         graph._add_state(state)
     graph.initial_state = states[0]
+    transition_names = codec.transition_names
     for source, t, target in edges:
         graph._add_edge(states[source], transition_names[t], states[target])
     return graph

@@ -76,50 +76,29 @@ class ValidationReport:
         return "; ".join(parts)
 
 
-def _explore_with_values(stg: SignalTransitionGraph, max_states: int = 200_000):
-    """BFS over (marking, signal vector) pairs.
+def check_consistency(stg: SignalTransitionGraph) -> List[str]:
+    """Return a list of consistency violations (empty when consistent).
 
-    Returns (states, edges, violations) where ``states`` maps each marking to
-    the set of signal vectors seen with it and ``violations`` is a list of
-    consistency error strings.
+    Explores the ``(marking, signal code)`` states of ``stg`` through the
+    count-tuple core, skipping every transition that fires against the
+    current value of its signal.  One violation is reported per such
+    (state, transition) pair, in BFS discovery order of the states and
+    net order of the transitions.  Raises :class:`UnboundedNetError` when
+    more than ``_VALIDATION_MAX_STATES`` states are reachable.
     """
-    net = stg.net
-    initial_vector = tuple(sorted(stg.initial_state_vector().items()))
-    start = (net.initial_marking, initial_vector)
-    seen = {start}
-    queue = [start]
-    edges = []
+    from repro.engine.marking import NetEncoding
+    from repro.stategraph.graph import code_relabel
+
     violations: List[str] = []
 
-    while queue:
-        marking, vector = queue.pop()
-        values = dict(vector)
-        for transition in net.enabled_transitions(marking):
-            label = stg.label_of(transition)
-            new_values = dict(values)
-            if label is not None:
-                current = values.get(label.signal, 0)
-                expected = 0 if label.is_rising else 1
-                if current != expected:
-                    violations.append(
-                        f"transition {label} fires while {label.signal}={current}"
-                    )
-                    continue
-                new_values[label.signal] = 1 if label.is_rising else 0
-            successor = net.fire(transition, marking)
-            new_state = (successor, tuple(sorted(new_values.items())))
-            edges.append(((marking, vector), transition, new_state))
-            if new_state not in seen:
-                if len(seen) >= max_states:
-                    raise UnboundedNetError("state cap exceeded during validation")
-                seen.add(new_state)
-                queue.append(new_state)
-    return seen, edges, violations
+    def record(label, value: int) -> None:
+        violations.append(f"transition {label} fires while {label.signal}={value}")
 
-
-def check_consistency(stg: SignalTransitionGraph) -> List[str]:
-    """Return a list of consistency violations (empty when consistent)."""
-    _states, _edges, violations = _explore_with_values(stg)
+    initial_key, relabel = code_relabel(stg, sorted(stg.signals), record)
+    cap_error = UnboundedNetError("state cap exceeded during validation")
+    NetEncoding.for_net(stg.net).explore_counts(
+        initial_key, _VALIDATION_MAX_STATES, None, cap_error, relabel=relabel
+    )
     return violations
 
 

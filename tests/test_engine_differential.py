@@ -27,16 +27,18 @@ from repro.engine.marking import EncodingError, NetEncoding
 from repro.petrinet.net import PetriNet
 from repro.petrinet.reachability import (
     UnboundedNetError,
-    _StubbornRelations,
-    _explore_reduced_bits,
-    _explore_reduced_counts,
     _reference_build_reachability_graph,
+    _stubborn_selector,
     build_reachability_graph,
     explore,
 )
 from repro.rappid.isa import InstructionClass, LengthClass, class_of_length
+from repro.stategraph.graph import StateGraphError, build_state_graph
+from repro.stg import StgBuilder, specs
 from repro.rappid.microarch import RappidConfig, RappidDecoder
 from repro.rappid.workload import CacheLine, Instruction, WorkloadGenerator
+
+from _spec_helpers import build_pipeline
 
 PETRI_SEEDS = range(60)
 NETLIST_SEEDS = range(60)
@@ -174,10 +176,11 @@ class TestReductionDifferential:
 
     :func:`explore` promises exactly the deadlock-marking set of
     ``_reference_build_reachability_graph`` on a subset of its markings.
-    Both reduced cores are pinned here -- ``_explore_reduced_bits``
-    (bitmask markings, safe nets under ``bound=1``) and
-    ``_explore_reduced_counts`` (count tuples, weighted arcs) -- since a
-    net can take either path depending on its encoding.  The broader
+    Both exploration cores are pinned here under the stubborn ``select``
+    hook -- ``NetEncoding.explore_bits`` (bitmask markings, safe nets
+    under ``bound=1``) and ``NetEncoding.explore_counts`` (count tuples,
+    weighted arcs) -- since a net can take either path depending on its
+    encoding.  The broader
     battery (library specs, RAPPID family, hypothesis nets, guard rails)
     lives in ``test_reachability_reduction.py``.
     """
@@ -192,17 +195,16 @@ class TestReductionDifferential:
 
     @pytest.mark.parametrize("seed", PETRI_SEEDS)
     def test_both_reduced_cores_preserve_deadlocks(self, seed):
-        """Drive the bits and counts cores directly on safe nets.
+        """Drive the bits and counts cores with the stubborn selector.
 
-        Each core picks its own (equally valid) stubborn sets, so the
-        explored graphs may differ -- but a completed run of either must
-        report the reference's exact deadlock set, and a bound violation
-        raised by either must be genuine (the unreduced bound=1
-        exploration raises too).
+        Each encoding's selector picks its own (equally valid) stubborn
+        sets, so the explored graphs may differ -- but a completed run of
+        either core must report the reference's exact deadlock set, and a
+        bound violation raised by either must be genuine (the unreduced
+        bound=1 exploration raises too).
         """
         net = random_bounded_net(seed, unit_weights=True)
         codec = NetEncoding.for_net(net)
-        relations = _StubbornRelations.for_net(net, codec)
         try:
             initial_bits = codec.encode_bits(net.initial_marking)
         except EncodingError:
@@ -210,13 +212,16 @@ class TestReductionDifferential:
         reference = _reference_build_reachability_graph(net, max_states=5_000)
         expected = set(reference.deadlocks())
         initial_counts = codec.encode(net.initial_marking)
+        cap_error = UnboundedNetError("state cap of 5000 markings exceeded")
+        select_bits = _stubborn_selector(net, codec, bits=True)
+        select_counts = _stubborn_selector(net, codec, bits=False)
         for core in (
-            lambda: _explore_reduced_bits(codec, relations, initial_bits, 5_000),
-            lambda: _explore_reduced_counts(
-                codec, relations, initial_counts, 5_000, 1
+            lambda: codec.explore_bits(initial_bits, 5_000, cap_error, select_bits),
+            lambda: codec.explore_counts(
+                initial_counts, 5_000, 1, cap_error, select_counts
             ),
-            lambda: _explore_reduced_counts(
-                codec, relations, initial_counts, 5_000, None
+            lambda: codec.explore_counts(
+                initial_counts, 5_000, None, cap_error, select_counts
             ),
         ):
             try:
@@ -237,6 +242,73 @@ class TestReductionDifferential:
                 if position not in with_successors
             }
             assert deadlocks == expected
+
+
+STATE_GRAPH_STGS = {
+    **{name: factory for name, factory in specs.ALL_SPECS.items()},
+    "rappid_control_1x1": lambda: specs.rappid_control(1, 1),
+    **{f"pipeline_{n}": (lambda n=n: build_pipeline(n)) for n in (1, 2, 3, 4)},
+}
+
+
+class TestStateGraphDifferential:
+    """``build_state_graph`` against the full-BFS oracle.
+
+    The library's ``rappid_control`` entry is the 1x2 instance.  On these
+    consistent STGs every reachable marking carries exactly one
+    signal code, so the state graph is the marking graph with codes
+    attached: its states, projected to markings, must come out in the
+    oracle's BFS order, and its edges in the oracle's edge order.
+    """
+
+    @pytest.mark.parametrize("name", sorted(STATE_GRAPH_STGS))
+    def test_state_order_matches_reference(self, name):
+        stg = STATE_GRAPH_STGS[name]()
+        graph = build_state_graph(stg)
+        reference = _reference_build_reachability_graph(stg.net)
+        assert [state.marking for state in graph.states] == reference.markings
+        assert [
+            (source.marking, transition, target.marking)
+            for (source, transition), target in graph.edges.items()
+        ] == [
+            (source, transition, target)
+            for (source, transition), target in reference.edges.items()
+        ]
+        assert graph.initial_state is graph.states[0]
+
+    def test_inconsistent_stg_error_text(self):
+        builder = StgBuilder()
+        builder.input("a")
+        builder.output("b")
+        builder.arc("a+", "b+", target_key="b+/1")
+        builder.arc("b+", "b+", source_key="b+/1", target_key="b+/2")
+        builder.arc("b+", "a+", source_key="b+/2", marked=True)
+        with pytest.raises(StateGraphError) as exc:
+            build_state_graph(builder.build())
+        assert str(exc.value) == "inconsistent STG: b+ enabled while b=1"
+
+    def test_state_cap_error_text(self):
+        with pytest.raises(StateGraphError) as exc:
+            build_state_graph(specs.fifo_controller(), max_states=5)
+        assert str(exc.value) == "state graph exceeds 5 states"
+
+    def test_bound_stops_at_first_unsafe_marking(self):
+        """``bound=1`` raises the reference's bound message as a
+        StateGraphError; without a bound the exploration runs on until
+        its state cap."""
+        stg = specs.simple_handshake()
+        net = stg.net
+        net.add_place("sink")
+        for transition in list(net.transitions):
+            net.add_arc(transition.name, "sink")
+        with pytest.raises(UnboundedNetError) as reference_exc:
+            _reference_build_reachability_graph(net, max_states=50, bound=1)
+        with pytest.raises(StateGraphError) as exc:
+            build_state_graph(stg, bound=1)
+        assert str(exc.value) == str(reference_exc.value)
+        with pytest.raises(StateGraphError) as unbounded_exc:
+            build_state_graph(stg, max_states=50)
+        assert str(unbounded_exc.value) == "state graph exceeds 50 states"
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ oracle, engine modules never draw from module-global RNG state, pool
 dispatch call sites never hide worker application errors behind broad
 exception catches, service handlers reach the engine only through
 vetted entry points, gate opcodes are dispatched only by the
-kernel's one evaluator and drain, and engine/RAPPID code holds no
-self-calling closures.  Each rule is proven to fire on synthetic
+kernel's one evaluator and drain, Petri-net exploration loops over the
+firing tables only in ``engine/marking.py``'s two cores, and
+engine/RAPPID code holds no self-calling closures.  Each rule is proven to fire on synthetic
 violations and to stay quiet on the real tree (the same invocation
 ``scripts/check.sh`` runs).
 """
@@ -317,6 +318,88 @@ class TestSingleEventLoopRule:
         )
         write(engine / "faultsim.py", "from heapq import heappop\nPOP = heappop\n")
         assert lint_contracts.check_single_event_loop(engine) == []
+
+
+class TestSingleExplorationLoopRule:
+    def test_second_exploration_loop_reported(self, tmp_path):
+        src = tmp_path / "src"
+        module = write(
+            src / "petrinet" / "reachability.py",
+            """\
+            def check_boundedness(codec, initial):
+                keys = [initial]
+                head = 0
+                while head < len(keys):
+                    marking = keys[head]
+                    head += 1
+                    for t, pre in enumerate(codec.consume):
+                        keys.append(marking)
+            """,
+        )
+        findings = lint_contracts.check_single_exploration_loop(src)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("single-exploration-loop", 1)
+        ]
+        assert "check_boundedness" in findings[0].message
+        assert "consume" in findings[0].message
+        assert findings[0].describe().startswith(f"{module}:1:")
+        assert len(lint_contracts.run(src, src / "engine", tmp_path / "t.py")) == 1
+
+    def test_hoisted_table_and_nested_loop_reported_once(self, tmp_path):
+        """A table read hoisted out of a nested looping closure, or a
+        method of a class, is still one finding at the outermost def."""
+        src = tmp_path / "src"
+        write(
+            src / "stategraph" / "graph.py",
+            """\
+            def build(codec):
+                masks = codec.need_mask
+
+                def walk(keys):
+                    while keys:
+                        keys.pop()
+                return walk
+
+            class Explorer:
+                def run(self, codec, keys):
+                    while keys:
+                        keys.pop() & codec.produce_mask[0]
+            """,
+        )
+        findings = lint_contracts.check_single_exploration_loop(src)
+        assert [(f.line, f.message.split("()")[0]) for f in findings] == [
+            (1, "build"),
+            (10, "run"),
+        ]
+
+    def test_owner_and_loop_free_table_reads_pass(self, tmp_path):
+        src = tmp_path / "src"
+        write(
+            src / "engine" / "marking.py",
+            """\
+            class NetEncoding:
+                def explore_counts(self, initial):
+                    keys = [initial]
+                    while keys:
+                        keys.pop() and self.consume
+            """,
+        )
+        write(
+            src / "petrinet" / "reachability.py",
+            """\
+            class _StubbornRelations:
+                def __init__(self, codec):
+                    self.pre = [sum(slot for slot, _w in c) for c in codec.consume]
+                    self.post = list(codec.produce)
+
+            def _stubborn_subset(relations, enabled):
+                stack = list(enabled)
+                while stack:
+                    stack.pop()
+                return enabled
+            """,
+        )
+        assert lint_contracts.check_single_exploration_loop(src) == []
 
 
 class TestClosureSelfReferenceRule:

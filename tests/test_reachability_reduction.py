@@ -212,9 +212,10 @@ class TestRappidControlFamily:
         while the full graph explodes."""
         net = specs.rappid_control(1, 2).net
         full = build_reachability_graph(net)
-        reduced = explore(net)
-        assert not reduced.deadlocks()
-        assert len(full) >= 5 * len(reduced)
+        for bound in (None, 1):  # count-tuple and bitmask cores
+            reduced = explore(net, bound=bound)
+            assert not reduced.deadlocks()
+            assert len(full) >= 5 * len(reduced)
 
     def test_paper_scale_spec_verifies_reduced(self):
         """A size far beyond the flat-BFS budget: the reduced exploration
@@ -239,6 +240,9 @@ class TestRappidControlFamily:
 class TestBoundednessTriState:
     def test_producer_is_unbounded_even_with_tiny_limit(self):
         assert check_boundedness(producer_net(), limit=4) is Boundedness.UNBOUNDED
+        # The witness is checked before the cap, even on the state that
+        # would exceed it.
+        assert check_boundedness(producer_net(), limit=1) is Boundedness.UNBOUNDED
         assert is_bounded(producer_net(), limit=4) is False
 
     def test_large_bounded_net_truncates_then_decides(self):

@@ -134,6 +134,29 @@ class TestValidation:
         violations = check_consistency(builder.build())
         assert violations
 
+    def test_consistency_violations_per_state_in_bfs_order(self):
+        """One violation per (state, transition) pair that fires against
+        its signal's value, in BFS discovery order of the states: here two
+        states enable ``b+`` and ``c+`` while both are already high."""
+        builder = StgBuilder()
+        builder.input("a")
+        builder.output("b")
+        builder.output("c")
+        builder.arc("a+", "b+", target_key="b+/1")
+        builder.arc("a+", "c+", target_key="c+/1")
+        builder.arc("b+", "b+", source_key="b+/1", target_key="b+/2")
+        builder.arc("c+", "c+", source_key="c+/1", target_key="c+/2")
+        builder.arc("b+", "a-", source_key="b+/2")
+        builder.arc("c+", "a-", source_key="c+/2")
+        builder.arc("a-", "a+", marked=True)
+        stg = builder.build()
+        b_twice = "transition b+ fires while b=1"
+        c_twice = "transition c+ fires while c=1"
+        assert check_consistency(stg) == [b_twice, c_twice, b_twice, c_twice]
+        report = validate_stg(stg)
+        assert not report.consistent
+        assert report.consistency_violations == check_consistency(stg)
+
     def test_persistency_violation_detected(self):
         # Output y+ enabled, then disabled by input a- (choice place).
         builder = StgBuilder()
