@@ -92,6 +92,17 @@ contract.  This lint makes them mechanical:
     firing rule whose order and error texts nothing keeps in step with
     the cores; pass a hook to a core instead.
 
+``single-firing-rule``
+    The Petri-net firing rule has one owner: ``petrinet/net.py``.  Every
+    spec-layer question -- persistency, liveness, conformance -- reads the
+    graph the exploration core built (``graph.enabled``, ``graph.edges``).
+    A ``.fire(``/``.is_enabled(`` call anywhere else under ``src/repro``
+    re-derives what that graph already holds, a second firing rule whose
+    results nothing keeps in step with the edges.  Exempt are the
+    ``_reference_*`` oracles and ``verification/conformance.py``'s
+    ``_SpecIndex``, which resolves spec markings on demand when no
+    prebuilt graph is passed in.
+
 ``closure-self-reference``
     A nested ``def`` under ``src/repro/engine`` or ``src/repro/rappid``
     that calls itself by name reaches itself through its own closure
@@ -560,6 +571,47 @@ def check_single_exploration_loop(src_root: Path) -> List[Finding]:
     return findings
 
 
+# The firing rule's owner, its methods, and the scopes allowed to call them.
+_FIRING_RULE_OWNER = "petrinet/net.py"
+_FIRING_RULE_CALLS = {"fire", "is_enabled"}
+_FIRING_RULE_SCOPES = {("verification/conformance.py", "_SpecIndex")}
+
+
+def _firing_calls(path: Path, node: ast.AST, exempt: set):
+    """``single-firing-rule`` findings under ``node``, skipping exempt scopes."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ) and (child.name.startswith("_reference_") or child.name in exempt):
+            continue
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr in _FIRING_RULE_CALLS
+        ):
+            yield Finding(
+                path,
+                child.lineno,
+                "single-firing-rule",
+                f".{child.func.attr}() outside {_FIRING_RULE_OWNER} grows a "
+                "second firing rule; read the explored graph's edges "
+                "(graph.enabled, graph.edges) instead",
+            )
+        yield from _firing_calls(path, child, exempt)
+
+
+def check_single_firing_rule(src_root: Path) -> List[Finding]:
+    """``single-firing-rule``: net firing calls outside petrinet/net.py."""
+    findings: List[Finding] = []
+    for path in sorted(src_root.rglob("*.py")):
+        relative = path.relative_to(src_root).as_posix()
+        if relative == _FIRING_RULE_OWNER:
+            continue
+        exempt = {scope for owner, scope in _FIRING_RULE_SCOPES if owner == relative}
+        findings.extend(_firing_calls(path, _parse(path), exempt))
+    return findings
+
+
 def _nested_defs(node: ast.AST, inside: bool = False):
     """Every ``def`` nested in another function's body, outermost first."""
     for child in ast.iter_child_nodes(node):
@@ -605,6 +657,7 @@ def run(src_root: Path, engine_root: Path, differential_test: Path) -> List[Find
     findings.extend(check_period_hunt(engine_root))
     findings.extend(check_single_event_loop(engine_root))
     findings.extend(check_single_exploration_loop(src_root))
+    findings.extend(check_single_firing_rule(src_root))
     findings.extend(
         check_closure_self_reference(
             [root for root in (engine_root, src_root / "rappid") if root.is_dir()]

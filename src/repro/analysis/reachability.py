@@ -6,8 +6,9 @@ module folds the reachability layer in.  Two passes over a
 
 * ``"reachability-full"`` -- the complete marking graph
   (:func:`~repro.petrinet.reachability.build_reachability_graph`).
-  What validation, conformance (via its spec index) and state-based
-  synthesis consume; bound/liveness/reversibility queries need this one.
+  What validation reads (and so state-based synthesis, which validates
+  first); conformance's spec index shares it when a caller passes it as
+  ``spec_graph``.  Bound/liveness/reversibility queries need this one.
 * ``"reachability-reduced"`` -- the stubborn-set reduced graph
   (:func:`~repro.petrinet.reachability.explore`), preserving exactly the
   deadlock markings at a fraction of the states.  What deadlock-freedom

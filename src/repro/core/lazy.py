@@ -16,7 +16,9 @@ paper):
 
 Both are represented by :class:`LazyStateGraph`, which wraps the reduced
 state graph, per-signal local don't-care codes, and a record of which
-assumption produced each change (used later by back-annotation).
+assumption produced each change (used later by back-annotation).  The
+reduction itself is :func:`~repro.stategraph.graph.reduce_concurrency`,
+the one implementation timing-aware state encoding uses too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.core.assumptions import (
     RelativeTimingAssumption,
 )
 from repro.stg.model import Direction, SignalTransition
-from repro.stategraph.graph import State, StateGraph
+from repro.stategraph.graph import State, StateGraph, reduce_concurrency
 
 
 @dataclass
@@ -114,36 +116,12 @@ def apply_assumptions(
     assumption: in the state immediately preceding that trigger the signal
     becomes a local don't care.
     """
-    orderings = {
-        (a.before, a.after): a for a in assumptions
-    }
-
-    # --- concurrency reduction -------------------------------------------------
-    removed: List[RemovedEdge] = []
-    removed_keys: Set[Tuple[State, str]] = set()
-    for state in graph.states:
-        enabled = graph.successors(state)
-        events = {}
-        for transition, _target in enabled:
-            event = _event_of(graph, transition)
-            if event is not None:
-                events.setdefault(event, []).append(transition)
-        for (before, after), assumption in orderings.items():
-            if before in events and after in events:
-                # ``after`` must not fire while ``before`` is still pending.
-                for transition in events[after]:
-                    key = (state, transition)
-                    if key not in removed_keys:
-                        removed_keys.add(key)
-                        removed.append(
-                            RemovedEdge(state, transition, after, assumption)
-                        )
-
-    reduced = graph.copy_without_edges(removed_keys)
-    # Keep only the removed-edge records whose source state survived; edges
-    # from states that became unreachable are irrelevant.
-    surviving_states = set(reduced.states)
-    removed = [r for r in removed if r.state in surviving_states]
+    orderings = {(a.before, a.after): a for a in assumptions}
+    reduced, cut = reduce_concurrency(graph, orderings)
+    removed = [
+        RemovedEdge(state, transition, ordering[1], orderings[ordering])
+        for (state, transition), ordering in cut.items()
+    ]
 
     lazy = LazyStateGraph(
         original=graph,

@@ -672,7 +672,6 @@ class FaultSimEngine:
         seed: int = 7,
         delay_jitter: float = 0.0,
         environment_jitter: float = 0.0,
-        compiled: Optional[CompiledNetlist] = None,
         collapse: bool = True,
     ) -> None:
         params = _analysis.campaign_params(
@@ -685,18 +684,8 @@ class FaultSimEngine:
             delay_jitter,
             environment_jitter,
         )
-        # The manager-cached path needs content fingerprints; a caller
-        # handing in an explicit CompiledNetlist owns its lifecycle (and
-        # may have built it from tables with no backing netlist), so
-        # that path keeps the self-contained construction.
-        managed = compiled is None and hasattr(netlist, "analysis_fingerprint")
-        golden = None
-        if managed:
-            compiled = _analysis.get(netlist, "compile")
-            golden = _analysis.get(netlist, "golden-signature", **params)
-        elif compiled is None:
-            netlist.validate()
-            compiled = CompiledNetlist(netlist)
+        compiled = _analysis.get(netlist, "compile")
+        golden = _analysis.get(netlist, "golden-signature", **params)
         self.netlist = netlist
         self.seed = seed
         self._sweep = build_sweep(netlist, compiled, params, golden=golden)
@@ -705,10 +694,7 @@ class FaultSimEngine:
         # draw of the shared per-copy RNG streams, so no two distinct
         # injections are draw-for-draw equivalent (and the per-copy
         # rng_states bookkeeping must stay aligned with the fault list).
-        # The explicit-compiled path opts out too: the plan is derived
-        # from the netlist through the manager, which only provably
-        # matches a manager-compiled slot space.
-        self._collapse = bool(collapse) and managed and not self._sweep.jittered
+        self._collapse = bool(collapse) and not self._sweep.jittered
         self._campaign_params = params
         self._collapse_plan = None
         self.last_collapse: Optional[Dict[str, int]] = None

@@ -22,6 +22,7 @@ from repro.petrinet.reachability import (
     UnboundedNetError,
     build_reachability_graph,
     check_boundedness,
+    closure,
     explore,
 )
 from repro.petrinet.properties import (
@@ -45,6 +46,7 @@ __all__ = [
     "UnboundedNetError",
     "build_reachability_graph",
     "check_boundedness",
+    "closure",
     "explore",
     "deadlock_markings",
     "is_bounded",

@@ -24,7 +24,7 @@ unbounded.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.petrinet.net import Marking, PetriNet
 from repro.petrinet.reachability import (
@@ -35,6 +35,7 @@ from repro.petrinet.reachability import (
     UnboundedNetError,
     build_reachability_graph,
     check_boundedness,
+    closure,
 )
 
 
@@ -107,68 +108,47 @@ def is_deadlock_free(net: PetriNet, graph: Optional[ReachabilityGraph] = None) -
     return not deadlock_markings(net, graph)
 
 
+def _all_lead_to(graph: ReachabilityGraph, seed_sets: Iterable[List[Marking]]) -> bool:
+    """True if from every marking of ``graph`` a path leads into each seed set.
+
+    One backward :func:`closure` over the in-edges per seed set.
+    """
+    index: Dict[Marking, List[Marking]] = {}
+    for (source, _transition), target in graph.edges.items():
+        index.setdefault(target, []).append(source)
+    for seeds in seed_sets:
+        reach = closure(seeds, lambda marking: index.get(marking, ()))
+        if not all(marking in reach for marking in graph.markings):
+            return False
+    return True
+
+
 def is_live(net: PetriNet, graph: Optional[ReachabilityGraph] = None) -> bool:
     """True if every transition can always eventually fire again (L4 liveness).
 
-    Checked on the reachability graph: the graph must be a single strongly
-    connected component containing every transition at least once, or more
-    generally, from every reachable marking every transition must remain
-    fireable in the future.  For the cyclic handshake specifications used in
-    this flow this is the intended notion of liveness.  Needs the full
-    graph -- a reduced one omits markings and interleavings.
+    Checked on the reachability graph: every transition occurs on some
+    edge, and from every reachable marking a path leads to a source of
+    each transition's edges -- one backward closure per transition, so
+    O(T * (V + E)).  For the cyclic handshake specifications used in this
+    flow this is the intended notion of liveness.  Needs the full graph
+    -- a reduced one omits markings and interleavings.
     """
     graph = _full_graph(net, graph, "is_live")
     if not graph.markings:
         return False
-
-    # Every transition must occur somewhere.
-    occurring = {t for (_m, t) in graph.edges}
-    if occurring != {t.name for t in net.transitions}:
+    sources: Dict[str, List[Marking]] = {}
+    for (source, transition) in graph.edges:
+        sources.setdefault(transition, []).append(source)
+    if set(sources) != {t.name for t in net.transitions}:
         return False
-
-    # From every marking, every transition must be reachable in the marking
-    # graph.  We compute, per marking, the set of transitions fireable in its
-    # forward closure via a reverse fixpoint: a transition t is "live from m"
-    # if some path from m fires t.
-    for marking in graph.markings:
-        reachable_transitions = set()
-        stack = [marking]
-        visited = {marking}
-        while stack:
-            current = stack.pop()
-            for transition, target in graph.successors(current):
-                reachable_transitions.add(transition)
-                if target not in visited:
-                    visited.add(target)
-                    stack.append(target)
-        if reachable_transitions != occurring:
-            return False
-    return True
+    return _all_lead_to(graph, sources.values())
 
 
 def is_reversible(net: PetriNet, graph: Optional[ReachabilityGraph] = None) -> bool:
     """True if the initial marking is reachable from every reachable marking.
 
+    The backward closure of the initial marking must cover the graph.
     Needs the full graph for the same reason as :func:`is_live`.
     """
     graph = _full_graph(net, graph, "is_reversible")
-    initial = net.initial_marking
-
-    for marking in graph.markings:
-        if marking == initial:
-            continue
-        stack = [marking]
-        visited = {marking}
-        found = False
-        while stack and not found:
-            current = stack.pop()
-            for _transition, target in graph.successors(current):
-                if target == initial:
-                    found = True
-                    break
-                if target not in visited:
-                    visited.add(target)
-                    stack.append(target)
-        if not found:
-            return False
-    return True
+    return _all_lead_to(graph, [[net.initial_marking]])

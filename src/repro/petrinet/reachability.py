@@ -34,9 +34,30 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.petrinet.net import Marking, PetriNet, PetriNetError
+
+
+Node = TypeVar("Node", bound=Hashable)
+
+
+def closure(seeds: Iterable[Node], neighbours: Callable[[Node], Iterable[Node]]) -> Set[Node]:
+    """Every node reachable from ``seeds`` (inclusive) through ``neighbours``.
+
+    ``neighbours(node)`` yields the nodes one step away: successors for a
+    forward closure, predecessors for a backward one.  The one breadth-first
+    closure behind liveness and reversibility here and the state-graph
+    closures of :mod:`repro.stategraph`.
+    """
+    seen: Set[Node] = set(seeds)
+    queue = deque(seen)
+    while queue:
+        for neighbour in neighbours(queue.popleft()):
+            if neighbour not in seen:
+                seen.add(neighbour)
+                queue.append(neighbour)
+    return seen
 
 
 class UnboundedNetError(PetriNetError):

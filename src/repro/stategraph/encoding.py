@@ -16,13 +16,19 @@ deadlock-free wins.  Ties are broken in favour of insertions that add the
 fewest states (i.e. lose the least concurrency), which is the
 "timing-aware" preference of the paper: the state signal should stay off
 the critical path.
+
+Timing-aware encoding (``resolve_csc(timing_aware=True)``) checks the
+conflicts of each candidate on its state graph concurrency-reduced under
+the orderings the encoding relies on -- the same
+:func:`~repro.stategraph.graph.reduce_concurrency` the Relative Timing
+engine's lazy state graphs use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.stg.model import (
     Direction,
@@ -31,7 +37,7 @@ from repro.stg.model import (
     SignalTransitionGraph,
     StgError,
 )
-from repro.stategraph.graph import State, StateGraph, StateGraphError, build_state_graph
+from repro.stategraph.graph import State, StateGraph, StateGraphError, build_state_graph, reduce_concurrency
 
 
 @dataclass(frozen=True)
@@ -95,34 +101,30 @@ class EncodingResult:
     timing_aware: bool = False
 
 
-def find_usc_conflicts(graph: StateGraph) -> List[Tuple[State, State]]:
-    """Pairs of distinct states sharing the same binary code."""
+def _code_clashes(graph: StateGraph) -> Iterator[Tuple[State, State]]:
+    """Pairs of distinct states sharing a code, grouped by code in state order."""
     by_code: Dict[Tuple[int, ...], List[State]] = {}
     for state in graph.states:
         by_code.setdefault(state.code, []).append(state)
-    conflicts = []
     for states in by_code.values():
-        for a, b in itertools.combinations(states, 2):
-            conflicts.append((a, b))
-    return conflicts
+        yield from itertools.combinations(states, 2)
+
+
+def find_usc_conflicts(graph: StateGraph) -> List[Tuple[State, State]]:
+    """Pairs of distinct states sharing the same binary code."""
+    return list(_code_clashes(graph))
 
 
 def find_csc_conflicts(graph: StateGraph, signals: Optional[Sequence[str]] = None) -> List[CscConflict]:
     """CSC conflicts for the given signals (default: all non-input signals)."""
     if signals is None:
         signals = graph.stg.non_input_signals
-    conflicts: List[CscConflict] = []
-    by_code: Dict[Tuple[int, ...], List[State]] = {}
-    for state in graph.states:
-        by_code.setdefault(state.code, []).append(state)
-    for code, states in by_code.items():
-        if len(states) < 2:
-            continue
-        for a, b in itertools.combinations(states, 2):
-            for signal in signals:
-                if graph.next_value(a, signal) != graph.next_value(b, signal):
-                    conflicts.append(CscConflict(code, signal, a, b))
-    return conflicts
+    return [
+        CscConflict(a.code, signal, a, b)
+        for a, b in _code_clashes(graph)
+        for signal in signals
+        if graph.next_value(a, signal) != graph.next_value(b, signal)
+    ]
 
 
 def has_csc(graph: StateGraph) -> bool:
@@ -328,34 +330,6 @@ def _build_candidate(
     return candidate, [rise_point, fall_point], implied
 
 
-def _reduce_under_orderings(
-    graph: StateGraph,
-    orderings: Sequence[Tuple[SignalTransition, SignalTransition]],
-) -> StateGraph:
-    """Concurrency-reduce ``graph`` under "before happens first" orderings.
-
-    This is the same reduction the Relative Timing engine performs; a local
-    copy is kept here so the encoding module stays independent of
-    :mod:`repro.core` (which imports this package).
-    """
-    if not orderings:
-        return graph
-    ordering_set = {(str(b), str(a)) for b, a in orderings}
-    removed: Set[Tuple[State, str]] = set()
-    for state in graph.states:
-        enabled = graph.successors(state)
-        events = {}
-        for transition, _target in enabled:
-            label = graph.stg.label_of(transition)
-            if label is not None:
-                events.setdefault(label.base_name(), []).append(transition)
-        for before, after in ordering_set:
-            if before in events and after in events:
-                for transition in events[after]:
-                    removed.add((state, transition))
-    return graph.copy_without_edges(removed)
-
-
 def resolve_csc(
     stg: SignalTransitionGraph,
     signal_prefix: str = "x",
@@ -385,8 +359,9 @@ def resolve_csc(
     implied: List[Tuple[SignalTransition, SignalTransition]] = []
 
     def conflicts_of(graph: StateGraph, orderings) -> List[CscConflict]:
-        reduced = _reduce_under_orderings(graph, orderings) if timing_aware else graph
-        return find_csc_conflicts(reduced)
+        if timing_aware:
+            graph, _cut = reduce_concurrency(graph, orderings)
+        return find_csc_conflicts(graph)
 
     for round_index in range(max_signals):
         graph = build_state_graph(current, max_states=max_states)

@@ -7,11 +7,11 @@ Coding problem handled in :mod:`repro.stategraph.encoding`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.petrinet.net import Marking
+from repro.petrinet.reachability import closure
 from repro.stg.model import Direction, SignalTransition, SignalTransitionGraph
 
 
@@ -149,12 +149,11 @@ class StateGraph:
             f"edges={len(self.edges)})"
         )
 
-    def copy_without_edges(self, removed: Set[Tuple[State, str]]) -> "StateGraph":
+    def copy_without_edges(self, removed: Collection[Tuple[State, str]]) -> "StateGraph":
         """Return a copy of the graph with the given edges removed.
 
         States left unreachable from the initial state are dropped as well.
-        This is the primitive used by the Relative Timing engine for
-        concurrency reduction.
+        :func:`reduce_concurrency` builds on this.
         """
         reduced = StateGraph(self.stg, self.signal_order)
         if self.initial_state is None:
@@ -162,18 +161,10 @@ class StateGraph:
         kept_edges = {
             key: target for key, target in self.edges.items() if key not in removed
         }
-        # BFS from the initial state over kept edges only.
-        reachable: Set[State] = {self.initial_state}
-        queue = deque([self.initial_state])
-        adjacency: Dict[State, List[Tuple[str, State]]] = {}
-        for (source, transition), target in kept_edges.items():
-            adjacency.setdefault(source, []).append((transition, target))
-        while queue:
-            state = queue.popleft()
-            for _transition, target in adjacency.get(state, []):
-                if target not in reachable:
-                    reachable.add(target)
-                    queue.append(target)
+        adjacency: Dict[State, List[State]] = {}
+        for (source, _transition), target in kept_edges.items():
+            adjacency.setdefault(source, []).append(target)
+        reachable = closure([self.initial_state], lambda s: adjacency.get(s, ()))
 
         reduced.initial_state = self.initial_state
         for state in self.states:
@@ -183,6 +174,55 @@ class StateGraph:
             if source in reachable and target in reachable:
                 reduced._add_edge(source, transition, target)
         return reduced
+
+
+Ordering = Tuple[SignalTransition, SignalTransition]
+"""A ``(before, after)`` pair of events: ``before`` happens first."""
+
+
+def reduce_concurrency(
+    graph: StateGraph, orderings: Iterable[Ordering]
+) -> Tuple[StateGraph, Dict[Tuple[State, str], Ordering]]:
+    """Concurrency-reduce ``graph`` under ``(before, after)`` event orderings.
+
+    In every state where both events of an ordering are enabled, the edges
+    firing ``after`` are cut: ``after`` must not fire while ``before`` is
+    still pending.  Events compare by signal and direction, ignoring the
+    occurrence index of the transition labels.  This is the one reduction
+    behind the Relative Timing engine's lazy state graphs and timing-aware
+    state encoding.
+
+    Returns the reduced graph -- states left unreachable are dropped; the
+    graph itself when nothing is cut -- and the cut ``(state, transition)``
+    keys of the surviving states, in state order and then ordering order,
+    each mapped to the first ordering that cut it.
+    """
+    orderings = list(orderings)
+    names = graph.stg.transition_names
+    event_of = {
+        name: SignalTransition(label.signal, label.direction)
+        for name, label in zip(names, map(graph.stg.label_of, names))
+        if label is not None
+    }
+    removed: Dict[Tuple[State, str], Ordering] = {}
+    for state in graph.states:
+        events: Dict[SignalTransition, List[str]] = {}
+        for transition, _target in graph._successors[state]:
+            event = event_of.get(transition)
+            if event is not None:
+                events.setdefault(event, []).append(transition)
+        for ordering in orderings:
+            before, after = ordering
+            if before in events and after in events:
+                for transition in events[after]:
+                    removed.setdefault((state, transition), ordering)
+    if not removed:
+        return graph, {}
+    reduced = graph.copy_without_edges(removed)
+    surviving = reduced._successors
+    return reduced, {
+        key: ordering for key, ordering in removed.items() if key[0] in surviving
+    }
 
 
 def code_relabel(

@@ -14,9 +14,9 @@ excitation region backwards into the quiescent region).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Set
 
+from repro.petrinet.reachability import closure
 from repro.stg.model import Direction
 from repro.stategraph.graph import State, StateGraph
 
@@ -42,28 +42,12 @@ def quiescent_region(graph: StateGraph, signal: str, value: int) -> Set[State]:
 
 def forward_closure(graph: StateGraph, seeds: Iterable[State]) -> Set[State]:
     """All states reachable from ``seeds`` (inclusive)."""
-    seen: Set[State] = set(seeds)
-    queue = deque(seen)
-    while queue:
-        state = queue.popleft()
-        for _transition, target in graph.successors(state):
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return seen
+    return closure(seeds, lambda state: [t for _tr, t in graph.successors(state)])
 
 
 def backward_closure(graph: StateGraph, seeds: Iterable[State]) -> Set[State]:
     """All states from which some seed is reachable (inclusive)."""
-    seen: Set[State] = set(seeds)
-    queue = deque(seen)
-    while queue:
-        state = queue.popleft()
-        for _transition, source in graph.predecessors(state):
-            if source not in seen:
-                seen.add(source)
-                queue.append(source)
-    return seen
+    return closure(seeds, lambda state: [s for _tr, s in graph.predecessors(state)])
 
 
 def region_entry_states(graph: StateGraph, region: Set[State]) -> Set[State]:

@@ -18,16 +18,18 @@ from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
 from repro.petrinet.net import PetriNet
+from repro.petrinet.properties import max_bound
 from repro.petrinet.reachability import (
     ReachabilityGraph,
     UnboundedNetError,
 )
 from repro.stg.model import SignalKind, SignalTransitionGraph
 
-# Both the safeness/deadlock battery and the persistency scan walk the
-# same full marking graph; resolving it through the analysis manager
-# means one enumeration per net -- shared between the two checks here,
-# repeated validations, and the conformance spec index.
+# The safeness/deadlock battery and the persistency scan read the same
+# full marking graph; resolving it through the analysis manager means one
+# enumeration per net, shared between the checks here and repeated
+# validations.  The conformance spec index shares it only when its caller
+# passes the cached graph as ``spec_graph``.
 _VALIDATION_MAX_STATES = 200_000
 
 
@@ -107,19 +109,21 @@ def check_output_persistency(stg: SignalTransitionGraph) -> List[str]:
 
     A violation is reported when a non-input signal transition is enabled in
     a state and becomes disabled after firing some other transition without
-    having fired itself.
+    having fired itself.  Read off the full marking graph: a marking's
+    out-edges are its enabled transitions, and the victim stays enabled iff
+    the aggressor's successor has a victim edge too.
     """
-    net = stg.net
     violations: List[str] = []
     seen_pairs: Set[Tuple[str, str]] = set()
 
     try:
-        graph = _full_graph(net)
+        graph = _full_graph(stg.net)
     except UnboundedNetError:
         return ["net is unbounded; persistency not checked"]
 
+    edges = graph.edges
     for marking in graph.markings:
-        enabled = net.enabled_transitions(marking)
+        enabled = graph.enabled(marking)
         for victim in enabled:
             victim_label = stg.label_of(victim)
             if victim_label is None:
@@ -134,12 +138,10 @@ def check_output_persistency(stg: SignalTransitionGraph) -> List[str]:
                 # not a persistency violation.
                 if (
                     aggressor_label is not None
-                    and victim_label is not None
                     and aggressor_label.signal == victim_label.signal
                 ):
                     continue
-                successor = net.fire(aggressor, marking)
-                if not net.is_enabled(victim, successor):
+                if (edges[(marking, aggressor)], victim) not in edges:
                     key = (str(victim_label), str(aggressor_label))
                     if key not in seen_pairs:
                         seen_pairs.add(key)
@@ -166,11 +168,7 @@ def validate_stg(stg: SignalTransitionGraph) -> ValidationReport:
         report.errors.append(str(exc))
         return report
 
-    bound = 0
-    for marking in graph.markings:
-        for _place, count in marking.items():
-            bound = max(bound, count)
-    report.safe = bound <= 1
+    report.safe = max_bound(net, graph) <= 1
 
     report.deadlock_free = not graph.deadlocks()
 

@@ -102,6 +102,95 @@ class TestLazyStateGraph:
         assert any(lazy.local_dont_cares(signal) for signal in internal)
 
 
+class TestConcurrencyReductionPins:
+    """Exact outputs of the one concurrency reduction behind both timing-aware
+    state encoding and lazy state graphs (order included)."""
+
+    def test_timing_aware_fifo_encoding(self):
+        result = resolve_csc(specs.fifo_controller(), timing_aware=True)
+        assert result.inserted_signals == ["x", "x1", "x2"]
+        assert not result.resolved
+        assert [str(point) for point in result.insertion_points] == [
+            "x+ triggered by lo-, acknowledged by ",
+            "x- triggered by lo+, acknowledged by ro+",
+            "x1+ triggered by ro+, acknowledged by lo-",
+            "x1- triggered by x+^lo-, acknowledged by eps",
+            "x2+ triggered by ro-, acknowledged by ",
+            "x2- triggered by ri-, acknowledged by ro+",
+        ]
+        assert [(str(b), str(a)) for b, a in result.implied_orderings] == [
+            ("x+", "li+"),
+            ("x1+", "ri+"),
+            ("x2+", "ri-"),
+        ]
+
+    def test_timing_aware_fifo_decoupled_encoding(self):
+        result = resolve_csc(specs.fifo_controller_decoupled(), timing_aware=True)
+        assert result.inserted_signals == ["x", "x1"]
+        assert result.resolved
+        assert [str(point) for point in result.insertion_points] == [
+            "x+ triggered by li+, acknowledged by lo+",
+            "x- triggered by ro+, acknowledged by ",
+            "x1+ triggered by li+, acknowledged by lo+, x+^li+",
+            "x1- triggered by lo+, acknowledged by ro+",
+        ]
+        assert [(str(b), str(a)) for b, a in result.implied_orderings] == [
+            ("x-", "ri+")
+        ]
+
+    def test_fifo_removed_edges_order(self):
+        graph = build_state_graph(resolve_csc(specs.fifo_controller()).stg)
+        assert graph.signal_order == ["li", "lo", "ri", "ro", "x", "x1", "x2"]
+        lazy = apply_assumptions(graph, generate_automatic_assumptions(graph))
+        removed = [
+            (graph.code_string(r.state), r.transition, str(r.event), str(r.assumption))
+            for r in lazy.removed_edges
+        ]
+        assert all(transition == event for _c, transition, event, _a in removed)
+        assert [(c, t, a) for c, t, _e, a in removed] == [
+            ("1100111", "li-", "x- before li- [auto]"),
+            ("1101011", "li-", "x1- before li- [auto]"),
+            ("1101011", "ri+", "x1- before ri+ [auto]"),
+            ("0101011", "ri+", "x1- before ri+ [auto]"),
+            ("1101001", "li-", "x2- before li- [auto]"),
+            ("1101001", "ri+", "x2- before ri+ [auto]"),
+            ("0101001", "ri+", "x2- before ri+ [auto]"),
+            ("0001000", "li+", "x1+ before li+ [auto]"),
+            ("0001000", "ri+", "x1+ before ri+ [auto]"),
+            ("1110000", "li-", "x2+ before li- [auto]"),
+            ("1110000", "ri-", "x2+ before ri- [auto]"),
+            ("0011000", "li+", "x1+ before li+ [auto]"),
+            ("0110000", "ri-", "x2+ before ri- [auto]"),
+            ("0010000", "li+", "x1+ before li+ [auto]"),
+            ("0010000", "ri-", "x2+ before ri- [auto]"),
+            ("1001010", "ri+", "x+ before ri+ [auto]"),
+            ("0010010", "ri-", "x2+ before ri- [auto]"),
+            ("0010010", "li+", "x2+ before li+ [auto]"),
+            ("0010001", "li+", "x1+ before li+ [auto]"),
+            ("0010001", "ri-", "x1+ before ri- [auto]"),
+            ("1010010", "ri-", "x2+ before ri- [auto]"),
+            ("0000001", "li+", "x1+ before li+ [auto]"),
+            ("1101110", "li-", "x- before li- [auto]"),
+            ("1101110", "ri+", "x- before ri+ [auto]"),
+            ("1010110", "ri-", "x2+ before ri- [auto]"),
+            ("1010011", "ri-", "x+ before ri- [auto]"),
+            ("1111110", "li-", "x- before li- [auto]"),
+            ("1110110", "li-", "x- before li- [auto]"),
+            ("1110110", "ri-", "x2+ before ri- [auto]"),
+            ("1110010", "li-", "x2+ before li- [auto]"),
+            ("1110010", "ri-", "x2+ before ri- [auto]"),
+            ("1110111", "li-", "x- before li- [auto]"),
+            ("1110111", "ri-", "x- before ri- [auto]"),
+            ("0110010", "ri-", "x2+ before ri- [auto]"),
+        ]
+        # Every cut edge is gone from the reduced graph, from a kept state.
+        kept = set(lazy.reduced.states)
+        assert all(r.state in kept for r in lazy.removed_edges)
+        assert not any(
+            (r.state, r.transition) in lazy.reduced.edges for r in lazy.removed_edges
+        )
+
+
 class TestGeneration:
     def test_automatic_assumptions_target_state_signals(self):
         encoded = resolve_csc(specs.fifo_controller()).stg

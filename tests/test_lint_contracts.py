@@ -8,8 +8,10 @@ dispatch call sites never hide worker application errors behind broad
 exception catches, service handlers reach the engine only through
 vetted entry points, gate opcodes are dispatched only by the
 kernel's one evaluator and drain, Petri-net exploration loops over the
-firing tables only in ``engine/marking.py``'s two cores, and
-engine/RAPPID code holds no self-calling closures.  Each rule is proven to fire on synthetic
+firing tables only in ``engine/marking.py``'s two cores, the net's
+firing rule is called only in ``petrinet/net.py`` (plus the oracles and
+the conformance spec index), and engine/RAPPID code holds no
+self-calling closures.  Each rule is proven to fire on synthetic
 violations and to stay quiet on the real tree (the same invocation
 ``scripts/check.sh`` runs).
 """
@@ -400,6 +402,75 @@ class TestSingleExplorationLoopRule:
             """,
         )
         assert lint_contracts.check_single_exploration_loop(src) == []
+
+
+class TestSingleFiringRule:
+    def test_refiring_scan_reported(self, tmp_path):
+        src = tmp_path / "src"
+        module = write(
+            src / "stg" / "validation.py",
+            """\
+            def check_output_persistency(stg, graph):
+                net = stg.net
+                for marking in graph.markings:
+                    for victim in graph.enabled(marking):
+                        for aggressor in graph.enabled(marking):
+                            successor = net.fire(aggressor, marking)
+                            if not net.is_enabled(victim, successor):
+                                yield victim
+            """,
+        )
+        findings = lint_contracts.check_single_firing_rule(src)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("single-firing-rule", 6),
+            ("single-firing-rule", 7),
+        ]
+        assert ".fire()" in findings[0].message
+        assert ".is_enabled()" in findings[1].message
+        assert findings[0].describe().startswith(f"{module}:6:")
+        assert len(lint_contracts.run(src, src / "engine", tmp_path / "t.py")) == 2
+
+    def test_owner_oracles_and_spec_index_pass(self, tmp_path):
+        src = tmp_path / "src"
+        write(
+            src / "petrinet" / "net.py",
+            """\
+            class PetriNet:
+                def fire(self, transition, marking):
+                    return self.is_enabled(transition, marking)
+            """,
+        )
+        write(
+            src / "petrinet" / "reachability.py",
+            """\
+            def _reference_build_reachability_graph(net, marking):
+                def step(t):
+                    return net.fire(t, marking)
+                return [step(t) for t in net.enabled_transitions(marking)]
+            """,
+        )
+        write(
+            src / "verification" / "conformance.py",
+            """\
+            class _SpecIndex:
+                def entries(self, marking):
+                    return [self._net.fire(t, marking) for t in self._ts]
+            """,
+        )
+        assert lint_contracts.check_single_firing_rule(src) == []
+
+    def test_spec_index_exemption_is_per_file(self, tmp_path):
+        src = tmp_path / "src"
+        write(
+            src / "stg" / "validation.py",
+            """\
+            class _SpecIndex:
+                def entries(self, net, marking):
+                    return net.fire("t", marking)
+            """,
+        )
+        findings = lint_contracts.check_single_firing_rule(src)
+        assert [(f.rule, f.line) for f in findings] == [("single-firing-rule", 3)]
 
 
 class TestClosureSelfReferenceRule:

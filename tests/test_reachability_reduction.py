@@ -494,6 +494,102 @@ class TestReductionProperties:
         assert check_boundedness(net, limit=10_000) is Boundedness.BOUNDED
 
 
+@st.composite
+def prefix_then_cycle_nets(draw):
+    """A guarded token ring whose initial marking is a prefix never revisited.
+
+    Ring places ``c0 .. c{k-1}`` carry one token and a pool of ``n`` tokens
+    starts on ``u``.  ``fill`` moves a pool token from ``u`` to ``v``;
+    leaving ``c0`` returns a ``v`` token to ``u``; re-entering ``c0`` needs
+    a ``v`` token and keeps it.  Every transition recurs from every marking,
+    but the ring is never back at ``c0`` with ``v`` empty: live, not
+    reversible.
+    """
+    length = draw(st.integers(min_value=2, max_value=5))
+    pool = draw(st.integers(min_value=1, max_value=3))
+    net = PetriNet(f"prefix{length}x{pool}")
+    ring = [f"c{i}" for i in range(length)]
+    for place in ring + ["u", "v"]:
+        net.add_place(place)
+    net.add_transition("fill")
+    net.add_arc("u", "fill")
+    net.add_arc("fill", "v")
+    for i, place in enumerate(ring):
+        name = f"r{i}"
+        net.add_transition(name)
+        net.add_arc(place, name)
+        net.add_arc(name, ring[(i + 1) % length])
+        if i == 0:
+            net.add_arc("v", name)
+            net.add_arc(name, "u")
+        elif i == length - 1:
+            net.add_arc("v", name)
+            net.add_arc(name, "v")
+    net.set_initial_marking({"c0": 1, "u": pool})
+    return net
+
+
+def _walk_is_live(net, graph):
+    """Liveness by one forward walk per marking (the pre-closure check)."""
+    occurring = {t for (_m, t) in graph.edges}
+    if occurring != {t.name for t in net.transitions}:
+        return False
+    for marking in graph.markings:
+        fired, stack, visited = set(), [marking], {marking}
+        while stack:
+            for transition, target in graph.successors(stack.pop()):
+                fired.add(transition)
+                if target not in visited:
+                    visited.add(target)
+                    stack.append(target)
+        if fired != occurring:
+            return False
+    return True
+
+
+def _walk_is_reversible(net, graph):
+    """Reversibility by one forward walk per marking."""
+    initial = net.initial_marking
+    for marking in graph.markings:
+        stack, visited = [marking], {marking}
+        while stack and initial not in visited:
+            for _transition, target in graph.successors(stack.pop()):
+                if target not in visited:
+                    visited.add(target)
+                    stack.append(target)
+        if initial not in visited:
+            return False
+    return True
+
+
+class TestLivenessClosures:
+    """``is_live``/``is_reversible`` are backward closures; they must agree
+    with a brute-force walk from every marking."""
+
+    @given(st.one_of(token_conserving_nets(), prefix_then_cycle_nets()))
+    @settings(max_examples=100, deadline=None)
+    def test_closures_match_per_marking_walk(self, net):
+        graph = build_reachability_graph(net, max_states=5_000)
+        assert is_live(net, graph) == _walk_is_live(net, graph)
+        assert is_reversible(net, graph) == _walk_is_reversible(net, graph)
+
+    @given(prefix_then_cycle_nets())
+    @settings(max_examples=20, deadline=None)
+    def test_prefix_then_cycle_is_live_but_not_reversible(self, net):
+        graph = build_reachability_graph(net)
+        assert _walk_is_live(net, graph) and not _walk_is_reversible(net, graph)
+        assert is_live(net, graph) and not is_reversible(net, graph)
+
+    # The walk is one search per marking; on rappid_control's 4,212
+    # markings that is most of a minute, so the family stays out.
+    @pytest.mark.parametrize("name", sorted(set(specs.ALL_SPECS) - {"rappid_control"}))
+    def test_library_specs_match_per_marking_walk(self, name):
+        net = specs.load_spec(name).net
+        graph = build_reachability_graph(net)
+        assert is_live(net, graph) == _walk_is_live(net, graph)
+        assert is_reversible(net, graph) == _walk_is_reversible(net, graph)
+
+
 # ---------------------------------------------------------------------------
 # Conformance with a prebuilt spec graph
 # ---------------------------------------------------------------------------

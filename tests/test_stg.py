@@ -12,6 +12,8 @@ from repro.stg import (
     validate_stg,
     write_g,
 )
+from repro.petrinet.reachability import build_reachability_graph
+from repro.stg.model import SignalKind, SignalTransitionGraph
 from repro.stg.validation import check_consistency, check_output_persistency
 
 
@@ -182,6 +184,125 @@ class TestValidation:
         assert report.bounded and report.safe
         assert report.consistent and report.output_persistent
         assert "yes" in report.summary()
+
+
+def _refiring_persistency(stg):
+    """The persistency scan as it was before it read graph edges: every
+    (marking, victim, aggressor) triple is re-fired through the net."""
+    net = stg.net
+    violations, seen_pairs = [], set()
+    for marking in build_reachability_graph(net).markings:
+        enabled = net.enabled_transitions(marking)
+        for victim in enabled:
+            victim_label = stg.label_of(victim)
+            if victim_label is None:
+                continue
+            if stg.signal_kind(victim_label.signal) is SignalKind.INPUT:
+                continue
+            for aggressor in enabled:
+                if aggressor == victim:
+                    continue
+                aggressor_label = stg.label_of(aggressor)
+                if (
+                    aggressor_label is not None
+                    and aggressor_label.signal == victim_label.signal
+                ):
+                    continue
+                successor = net.fire(aggressor, marking)
+                if not net.is_enabled(victim, successor):
+                    key = (str(victim_label), str(aggressor_label))
+                    if key not in seen_pairs:
+                        seen_pairs.add(key)
+                        violations.append(
+                            f"{victim_label} disabled by firing "
+                            f"{aggressor_label if aggressor_label else aggressor}"
+                        )
+    return violations
+
+
+def _choice_stg(victims, aggressor, input_aggressor=False, cycles=1):
+    """``victims`` (outputs) and ``aggressor`` compete for one marked place.
+
+    ``aggressor`` is a signal transition text like ``"a-"`` or ``None`` for
+    a silent transition.  With ``cycles=2`` the choice sits on a two-token
+    ring, so the same violating pair shows up in several markings.
+    """
+    stg = SignalTransitionGraph("choice")
+    for victim in victims:
+        stg.declare_output(victim[:-1])
+    names = [stg.add_transition(SignalTransition.parse(v), name=v) for v in victims]
+    if aggressor is None:
+        names.append(stg.add_transition(None, name="eps_hazard"))
+    else:
+        signal = aggressor[:-1]
+        if input_aggressor:
+            stg.declare_input(signal, initial=1)
+        else:
+            stg.declare_output(signal, initial=1)
+        names.append(stg.add_transition(SignalTransition.parse(aggressor), name=aggressor))
+    choice = stg.add_place("choice")
+    for name in names:
+        stg.add_arc(choice, name)
+    marking = {"choice": 1}
+    if cycles == 2:
+        stg.declare_input("r")
+        stg.add_transition(SignalTransition.parse("r+"), name="r+")
+        stg.add_transition(SignalTransition.parse("r-"), name="r-")
+        stg.connect("r+", "r-")
+        marking[stg.connect("r-", "r+")] = 1
+    stg.set_initial_marking(marking)
+    return stg
+
+
+class TestPersistencyReadsEdges:
+    """``check_output_persistency`` reads the full graph's edges; it must
+    return exactly the list the re-firing scan returns."""
+
+    @pytest.mark.parametrize("name", sorted(specs.ALL_SPECS))
+    def test_library_matches_refiring_scan(self, name):
+        stg = specs.load_spec(name)
+        assert check_output_persistency(stg) == _refiring_persistency(stg)
+
+    def test_rappid_control_matches_refiring_scan(self):
+        stg = specs.rappid_control(1, 2)
+        assert check_output_persistency(stg) == _refiring_persistency(stg)
+
+    @pytest.mark.parametrize(
+        "stg, expected",
+        [
+            pytest.param(
+                _choice_stg(["y+"], "a-", input_aggressor=True),
+                ["y+ disabled by firing a-"],
+                id="input-takes-choice-place",
+            ),
+            pytest.param(
+                _choice_stg(["y+", "z+"], "w-"),
+                [
+                    "y+ disabled by firing z+",
+                    "y+ disabled by firing w-",
+                    "z+ disabled by firing y+",
+                    "z+ disabled by firing w-",
+                    "w- disabled by firing y+",
+                    "w- disabled by firing z+",
+                ],
+                id="output-disabled-by-output",
+            ),
+            pytest.param(
+                _choice_stg(["y+"], None),
+                ["y+ disabled by firing eps_hazard"],
+                id="silent-aggressor-named-by-transition",
+            ),
+            pytest.param(
+                _choice_stg(["y+"], None, cycles=2),
+                ["y+ disabled by firing eps_hazard"],
+                id="pair-reported-once-across-markings",
+            ),
+        ],
+    )
+    def test_hand_built_violations(self, stg, expected):
+        assert _refiring_persistency(stg) == expected
+        assert check_output_persistency(stg) == expected
+        assert validate_stg(stg).persistency_violations == expected
 
 
 class TestParser:
