@@ -96,12 +96,15 @@ contract.  This lint makes them mechanical:
     The Petri-net firing rule has one owner: ``petrinet/net.py``.  Every
     spec-layer question -- persistency, liveness, conformance -- reads the
     graph the exploration core built (``graph.enabled``, ``graph.edges``).
-    A ``.fire(``/``.is_enabled(`` call anywhere else under ``src/repro``
+    A ``.fire(``, ``.fire_sequence(``, ``.is_enabled(`` or
+    ``.enabled_transitions(`` call anywhere else under ``src/repro``
     re-derives what that graph already holds, a second firing rule whose
-    results nothing keeps in step with the edges.  Exempt are the
-    ``_reference_*`` oracles and ``verification/conformance.py``'s
-    ``_SpecIndex``, which resolves spec markings on demand when no
-    prebuilt graph is passed in.
+    results nothing keeps in step with the edges.  The rule matches the
+    method name, not the receiver's type: a graph's own readers of the
+    same names are called through their edges (``successors``) instead.
+    Exempt are the ``_reference_*`` oracles and
+    ``verification/conformance.py``'s ``_SpecIndex``, which resolves spec
+    markings on demand when no prebuilt graph is passed in.
 
 ``closure-self-reference``
     A nested ``def`` under ``src/repro/engine`` or ``src/repro/rappid``
@@ -573,7 +576,7 @@ def check_single_exploration_loop(src_root: Path) -> List[Finding]:
 
 # The firing rule's owner, its methods, and the scopes allowed to call them.
 _FIRING_RULE_OWNER = "petrinet/net.py"
-_FIRING_RULE_CALLS = {"fire", "is_enabled"}
+_FIRING_RULE_CALLS = {"enabled_transitions", "fire", "fire_sequence", "is_enabled"}
 _FIRING_RULE_SCOPES = {("verification/conformance.py", "_SpecIndex")}
 
 

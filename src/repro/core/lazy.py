@@ -24,14 +24,19 @@ the one implementation timing-aware state encoding uses too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.assumptions import (
     AssumptionSet,
     RelativeTimingAssumption,
 )
 from repro.stg.model import Direction, SignalTransition
-from repro.stategraph.graph import State, StateGraph, reduce_concurrency
+from repro.stategraph.graph import (
+    State,
+    StateGraph,
+    reduce_concurrency,
+    transition_event,
+)
 
 
 @dataclass
@@ -96,13 +101,6 @@ class LazyStateGraph:
         }
 
 
-def _event_of(graph: StateGraph, transition: str) -> Optional[SignalTransition]:
-    label = graph.stg.label_of(transition)
-    if label is None:
-        return None
-    return SignalTransition(label.signal, label.direction)
-
-
 def apply_assumptions(
     graph: StateGraph,
     assumptions: AssumptionSet,
@@ -157,7 +155,7 @@ def _derive_early_enablings(
             if graph.is_excited(state, after.signal) is not None:
                 continue  # already excited; nothing to anticipate
             for transition, target in graph.successors(state):
-                event = _event_of(graph, transition)
+                event = transition_event(graph.stg, transition)
                 if event != before:
                     continue
                 if graph.is_excited(target, after.signal) is after.direction:
@@ -186,7 +184,7 @@ def early_enable_candidates(graph: StateGraph) -> List[Tuple[SignalTransition, S
     candidates: Set[Tuple[SignalTransition, SignalTransition]] = set()
     for state in graph.states:
         for transition, target in graph.successors(state):
-            trigger = _event_of(graph, transition)
+            trigger = transition_event(graph.stg, transition)
             if trigger is None:
                 continue
             for signal in non_inputs:

@@ -22,7 +22,6 @@ from repro.petrinet.reachability import (
     UnboundedNetError,
     build_reachability_graph,
     check_boundedness,
-    closure,
     explore,
 )
 from repro.petrinet.properties import (
@@ -46,7 +45,6 @@ __all__ = [
     "UnboundedNetError",
     "build_reachability_graph",
     "check_boundedness",
-    "closure",
     "explore",
     "deadlock_markings",
     "is_bounded",

@@ -94,7 +94,7 @@ class StateGraph:
     def enabled_labels(self, state: State) -> List[SignalTransition]:
         """Signal transitions enabled in ``state`` (silent transitions omitted)."""
         labels = []
-        for transition in self.enabled_transitions(state):
+        for transition, _target in self._successors.get(state, []):
             label = self.stg.label_of(transition)
             if label is not None:
                 labels.append(label)
@@ -180,6 +180,20 @@ Ordering = Tuple[SignalTransition, SignalTransition]
 """A ``(before, after)`` pair of events: ``before`` happens first."""
 
 
+def transition_event(
+    stg: SignalTransitionGraph, transition: str
+) -> Optional[SignalTransition]:
+    """The event ``transition`` fires: its label's signal and direction.
+
+    The occurrence index of the label is dropped, so every occurrence of
+    ``a+`` is the same event; silent transitions fire no event (``None``).
+    """
+    label = stg.label_of(transition)
+    if label is None:
+        return None
+    return SignalTransition(label.signal, label.direction)
+
+
 def reduce_concurrency(
     graph: StateGraph, orderings: Iterable[Ordering]
 ) -> Tuple[StateGraph, Dict[Tuple[State, str], Ordering]]:
@@ -187,8 +201,8 @@ def reduce_concurrency(
 
     In every state where both events of an ordering are enabled, the edges
     firing ``after`` are cut: ``after`` must not fire while ``before`` is
-    still pending.  Events compare by signal and direction, ignoring the
-    occurrence index of the transition labels.  This is the one reduction
+    still pending.  Events are those of :func:`transition_event`, so the
+    occurrence index of a label does not matter.  This is the one reduction
     behind the Relative Timing engine's lazy state graphs and timing-aware
     state encoding.
 
@@ -198,11 +212,8 @@ def reduce_concurrency(
     each mapped to the first ordering that cut it.
     """
     orderings = list(orderings)
-    names = graph.stg.transition_names
     event_of = {
-        name: SignalTransition(label.signal, label.direction)
-        for name, label in zip(names, map(graph.stg.label_of, names))
-        if label is not None
+        name: transition_event(graph.stg, name) for name in graph.stg.transition_names
     }
     removed: Dict[Tuple[State, str], Ordering] = {}
     for state in graph.states:

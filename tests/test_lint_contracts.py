@@ -472,6 +472,27 @@ class TestSingleFiringRule:
         findings = lint_contracts.check_single_firing_rule(src)
         assert [(f.rule, f.line) for f in findings] == [("single-firing-rule", 3)]
 
+    def test_enabled_set_and_fire_sequence_reported(self, tmp_path):
+        src = tmp_path / "src"
+        write(
+            src / "stg" / "validation.py",
+            """\
+            def check_output_persistency(stg, graph):
+                net = stg.net
+                for marking in graph.markings:
+                    for aggressor in net.enabled_transitions(marking):
+                        successor = net.fire_sequence([aggressor], marking)
+                        yield aggressor, successor
+            """,
+        )
+        findings = lint_contracts.check_single_firing_rule(src)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("single-firing-rule", 4),
+            ("single-firing-rule", 5),
+        ]
+        assert ".enabled_transitions()" in findings[0].message
+        assert ".fire_sequence()" in findings[1].message
+
 
 class TestClosureSelfReferenceRule:
     def test_self_calling_nested_def_reported(self, tmp_path):
