@@ -62,9 +62,6 @@ class NetlistStructure:
     dominators: Dict[str, FrozenSet[str]]
     immediate_dominator: Dict[str, Optional[str]]
 
-    def in_cone(self, net: str) -> bool:
-        """True when the net structurally reaches some primary output."""
-        return bool(self.output_cone.get(net))
 
 
 def _output_cones(

@@ -157,9 +157,6 @@ class Cover:
         """Value of the function at a fully-specified input vector."""
         return any(cube.contains(minterm) for cube in self.cubes)
 
-    def covers_minterm(self, minterm: Sequence[int]) -> bool:
-        return self.evaluate(minterm)
-
     @property
     def num_literals(self) -> int:
         return sum(cube.num_literals for cube in self.cubes)

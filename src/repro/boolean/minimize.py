@@ -2,9 +2,15 @@
 
 ``minimize`` takes explicit ON-set and DC-set minterm collections and
 returns a minimal (essential primes plus greedy completion) sum-of-products
-cover of the ON-set using the don't cares freely.  The functions handled by
-the asynchronous synthesis flow have at most a dozen variables, so the
-explicit algorithm is more than fast enough and is easy to audit.
+cover of the ON-set using the don't cares freely.
+
+Prime implicants are generated on integer cubes: a ``(mask, value)`` pair
+whose mask holds the specified variables and whose value is zero outside
+the mask.  Cubes are grouped by mask, and a cube merges with its partner
+``value | bit`` -- one set lookup per clear specified bit -- instead of
+being compared with every other cube of its level.  Only the primes become
+:class:`Cube` objects.  ``_reference_prime_implicants`` keeps the explicit
+all-pairs ``Cube.merge`` loop as the differential oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +24,51 @@ Minterm = Tuple[int, ...]
 
 
 def _prime_implicants(minterms: Set[Minterm], num_vars: int) -> List[Cube]:
+    """Generate all prime implicants of the union of ON and DC sets."""
+    if not minterms:
+        return []
+    full = (1 << num_vars) - 1
+    level: Dict[int, Set[int]] = {full: {_minterm_int(m) for m in minterms}}
+    primes: List[Tuple[int, int]] = []
+    while level:
+        merged: Dict[int, Set[int]] = {}
+        for mask, values in level.items():
+            used: Set[int] = set()
+            # Each mergeable pair is found once, from its member with ``bit`` clear.
+            for value in values:
+                clear = mask & ~value
+                while clear:
+                    bit = clear & -clear
+                    clear ^= bit
+                    if value | bit in values:
+                        merged.setdefault(mask ^ bit, set()).add(value)
+                        used.add(value)
+                        used.add(value | bit)
+            primes.extend((mask, value) for value in values - used)
+        level = merged
+    cubes = (_int_cube(mask, value, num_vars) for mask, value in primes)
+    return sorted(cubes, key=str)
+
+
+def _minterm_int(minterm: Minterm) -> int:
+    """The minterm as an integer; variable 0 is the top bit."""
+    value = 0
+    for bit in minterm:
+        value = value << 1 | bit
+    return value
+
+
+def _int_cube(mask: int, value: int, num_vars: int) -> Cube:
+    """The :class:`Cube` of an integer cube; variable 0 is the top bit."""
+    return Cube(
+        tuple(
+            (value >> shift) & 1 if (mask >> shift) & 1 else None
+            for shift in range(num_vars - 1, -1, -1)
+        )
+    )
+
+
+def _reference_prime_implicants(minterms: Set[Minterm], num_vars: int) -> List[Cube]:
     """Generate all prime implicants of the union of ON and DC sets."""
     if not minterms:
         return []

@@ -57,10 +57,6 @@ class GateType:
         return int(bool(self.eval_fn(inputs, previous_output)))
 
 
-def _const(value: int) -> EvalFn:
-    return lambda inputs, prev: value
-
-
 def _inv(inputs: Sequence[int], prev: int) -> int:
     return 1 - inputs[0]
 

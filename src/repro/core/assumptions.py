@@ -114,12 +114,6 @@ class AssumptionSet:
         self._assumptions.append(assumption)
         return True
 
-    def add_user(self, before: EventLike, after: EventLike, rationale: str = "") -> bool:
-        return self.add(assume(before, after, AssumptionKind.USER, rationale))
-
-    def add_automatic(self, before: EventLike, after: EventLike, rationale: str = "") -> bool:
-        return self.add(assume(before, after, AssumptionKind.AUTOMATIC, rationale))
-
     def __iter__(self) -> Iterator[RelativeTimingAssumption]:
         return iter(self._assumptions)
 

@@ -70,11 +70,6 @@ class LazyStateGraph:
     removed_edges: List[RemovedEdge] = field(default_factory=list)
     early_enablings: List[EarlyEnabling] = field(default_factory=list)
 
-    @property
-    def removed_states(self) -> Set[State]:
-        """States reachable in the original graph but not in the reduced one."""
-        return set(self.original.states) - set(self.reduced.states)
-
     def local_dont_cares(self, signal: str) -> Set[Tuple[int, ...]]:
         """Codes that are local don't cares for ``signal`` due to early enabling."""
         return {
@@ -82,15 +77,6 @@ class LazyStateGraph:
             for enabling in self.early_enablings
             if enabling.signal == signal
         }
-
-    def global_dont_care_codes(self) -> Set[Tuple[int, ...]]:
-        """Codes only reachable in the original (untimed) graph.
-
-        A code is a *global* don't care only if no surviving state uses it.
-        """
-        surviving = {state.code for state in self.reduced.states}
-        removed = {state.code for state in self.removed_states}
-        return removed - surviving
 
     def statistics(self) -> Dict[str, int]:
         return {

@@ -295,9 +295,6 @@ class BatchEventQueue:
             bucket[1].append(value)
         self._count += 1
 
-    def peek_time(self) -> float:
-        return self._times[0]
-
     def pop_batch(self) -> Tuple[float, List[int], List[int]]:
         """Remove and return ``(time, nets, values)`` of the earliest bucket."""
         time = heappop(self._times)

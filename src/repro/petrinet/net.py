@@ -141,13 +141,6 @@ class Marking:
         return self.covers(other) and self != other
 
 
-@dataclass
-class _Arc:
-    source: str
-    target: str
-    weight: int = 1
-
-
 class PetriNet:
     """A place/transition net with weighted arcs and an initial marking."""
 
@@ -277,9 +270,6 @@ class PetriNet:
 
     def has_place(self, name: str) -> bool:
         return name in self._places
-
-    def has_transition(self, name: str) -> bool:
-        return name in self._transitions
 
     def preset(self, transition: str) -> Dict[str, int]:
         """Input places of a transition with their arc weights."""

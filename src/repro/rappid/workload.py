@@ -73,11 +73,6 @@ class CacheLine:
     def instruction_count(self) -> int:
         return len(self.instructions)
 
-    @property
-    def average_length(self) -> float:
-        if not self.instructions:
-            return 0.0
-        return sum(i.length for i in self.instructions) / len(self.instructions)
 
 
 def _position(index: int, size: int) -> int:

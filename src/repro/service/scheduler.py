@@ -144,10 +144,6 @@ class FairScheduler:
     def __len__(self) -> int:
         return self._queued
 
-    @property
-    def virtual_time(self) -> float:
-        return self._virtual_time
-
     def tenant_depth(self, tenant: str) -> int:
         return self._tenant_depth.get(tenant, 0)
 

@@ -119,17 +119,19 @@ def find_csc_conflicts(graph: StateGraph, signals: Optional[Sequence[str]] = Non
     """CSC conflicts for the given signals (default: all non-input signals)."""
     if signals is None:
         signals = graph.stg.non_input_signals
+    vectors: Dict[State, Tuple[int, ...]] = {}
+
+    def next_values(state: State) -> Tuple[int, ...]:
+        if state not in vectors:
+            vectors[state] = graph.next_values(state, signals)
+        return vectors[state]
+
     return [
         CscConflict(a.code, signal, a, b)
         for a, b in _code_clashes(graph)
-        for signal in signals
-        if graph.next_value(a, signal) != graph.next_value(b, signal)
+        for signal, value_a, value_b in zip(signals, next_values(a), next_values(b))
+        if value_a != value_b
     ]
-
-
-def has_csc(graph: StateGraph) -> bool:
-    """True if the state graph satisfies Complete State Coding."""
-    return not find_csc_conflicts(graph)
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,19 @@ class StateGraph:
         Equal to the current value unless the signal is excited, in which
         case it is the value after the excitation fires.
         """
-        direction = self.is_excited(state, signal)
-        if direction is None:
-            return self.value(state, signal)
-        return 1 if direction is Direction.RISE else 0
+        return self.next_values(state, (signal,))[0]
+
+    def next_values(self, state: State, signals: Iterable[str]) -> Tuple[int, ...]:
+        """:meth:`next_value` of each of ``signals``, from one successor walk."""
+        excited: Dict[str, Direction] = {}
+        for label in self.enabled_labels(state):
+            excited.setdefault(label.signal, label.direction)
+        return tuple(
+            self.value(state, signal)
+            if signal not in excited
+            else 1 if excited[signal] is Direction.RISE else 0
+            for signal in signals
+        )
 
     # -- code sets used by logic synthesis ----------------------------------------------
     def reachable_codes(self) -> Set[Tuple[int, ...]]:
@@ -132,9 +141,6 @@ class StateGraph:
     def off_set(self, signal: str) -> Set[Tuple[int, ...]]:
         """Codes of states whose implied value of ``signal`` is 0."""
         return {s.code for s in self.states if self.next_value(s, signal) == 0}
-
-    def states_with_code(self, code: Tuple[int, ...]) -> List[State]:
-        return [s for s in self.states if s.code == code]
 
     # -- misc ------------------------------------------------------------------------------
     def __len__(self) -> int:

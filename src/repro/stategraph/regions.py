@@ -62,12 +62,3 @@ def region_entry_states(graph: StateGraph, region: Set[State]) -> Set[State]:
         entries.add(graph.initial_state)
     return entries
 
-
-def region_exit_edges(graph: StateGraph, region: Set[State]):
-    """Edges leaving ``region``: list of (state, transition, target)."""
-    exits = []
-    for state in region:
-        for transition, target in graph.successors(state):
-            if target not in region:
-                exits.append((state, transition, target))
-    return exits

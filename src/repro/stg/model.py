@@ -230,16 +230,6 @@ class SignalTransitionGraph:
             if label is not None and label.signal == signal
         ]
 
-    def transitions_with_label(self, label: SignalTransition) -> List[str]:
-        """Net transitions whose label matches signal and direction (any index)."""
-        return [
-            name
-            for name, lbl in self._labels.items()
-            if lbl is not None
-            and lbl.signal == label.signal
-            and lbl.direction == label.direction
-        ]
-
     @property
     def transition_names(self) -> List[str]:
         return list(self._labels)
@@ -284,11 +274,6 @@ class SignalTransitionGraph:
         if label is not None and label.signal not in self._signals:
             raise StgError(f"signal {label.signal!r} not declared")
         self._labels[name] = label
-
-    def relabel_signal_kind(self, signal: str, kind: SignalKind) -> None:
-        if signal not in self._signals:
-            raise StgError(f"unknown signal {signal!r}")
-        self._signals[signal] = kind
 
     def __repr__(self) -> str:
         return (
